@@ -9,15 +9,15 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import math
 import sys
 from pathlib import Path
 
 from . import __version__
+from ._io import json_text, read_json_object, read_text, tsv, write_text
 from .diagnostics import DEFAULT_R2_MARGIN, diagnose, emit_plot_data
 from .estimation import FitResult, fit
-from .histogram import ParseError, RankHistogram, parse_dataset, summarize
+from .histogram import RankHistogram, parse_dataset, summarize
 from .models import DEFAULT_DOMAIN_CEILING, ModelKind, ModelParams
 from .selection import (
     DEFAULT_ENSEMBLE,
@@ -39,28 +39,8 @@ def _die(message: str, code: int = 1):
     sys.exit(code)
 
 
-def _read_text(path: str) -> str:
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        _die(str(exc))
-
-
 def _sha256(path: str) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
-def _dump_json(obj, path: Path):
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(obj, fh, indent=2)
-        fh.write("\n")
-
-
-def _write_text(text: str, path: Path):
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
 
 
 def _loglik_json(value: float) -> dict:
@@ -68,6 +48,13 @@ def _loglik_json(value: float) -> dict:
     if value == -math.inf:
         return {"loglik": "-inf", "finite": False}
     return {"loglik": value, "finite": True}
+
+
+def _write_json(obj, path: Path) -> str:
+    """Write ``obj`` to ``path`` as strict JSON; returns the text written."""
+    text = json_text(obj)
+    write_text(path, text)
+    return text
 
 
 def _write_manifest(path: Path, command: str, inputs: list[str],
@@ -79,26 +66,23 @@ def _write_manifest(path: Path, command: str, inputs: list[str],
         "version": __version__,
         "outputs": [str(p) for p in outputs],
     }
-    _dump_json(manifest, path)
+    _write_json(manifest, path)
 
 
 def _parse_input(args) -> RankHistogram:
-    text = _read_text(args.input)
-    try:
-        hist = parse_dataset(text, delimiter=args.delimiter, label=args.input)
-    except ParseError as exc:
-        _die(str(exc))
+    hist = parse_dataset(read_text(args.input), delimiter=args.delimiter, label=args.input)
     for note in hist.warnings:
         print(f"note: {note}", file=sys.stderr)
     return hist
 
 
-def _ensemble(names_csv: str | None):
-    if not names_csv:
+def _ensemble(names) -> tuple:
+    """Model kinds from a comma-separated --ensemble value or a config list."""
+    if not names:
         return DEFAULT_ENSEMBLE
     kinds = []
-    for name in names_csv.split(","):
-        name = name.strip()
+    for name in names.split(",") if isinstance(names, str) else names:
+        name = str(name).strip()
         if name not in KIND_NAMES:
             _die(f"unknown model kind {name!r}; valid kinds: {', '.join(KIND_NAMES)}")
         kinds.append(ModelKind(name))
@@ -109,14 +93,8 @@ def cmd_summarize(args) -> int:
     hist = _parse_input(args)
     stats = summarize(hist).as_dict()
     out = Path(args.out)
-    _dump_json(stats, out)
-    if args.format == "tsv":
-        keys = list(stats)
-        print("\t".join(keys))
-        print("\t".join(repr(stats[k]) if isinstance(stats[k], float) else str(stats[k])
-                        for k in keys))
-    else:
-        print(json.dumps(stats, indent=2))
+    text = _write_json(stats, out)
+    sys.stdout.write(tsv(stats, [stats.values()]) if args.format == "tsv" else text)
     _write_manifest(Path(str(out) + ".manifest.json"), "summarize", [args.input],
                     {"input": args.input, "delimiter": args.delimiter,
                      "format": args.format, "out": str(out)}, [out])
@@ -125,12 +103,9 @@ def cmd_summarize(args) -> int:
 
 def cmd_fit(args) -> int:
     hist = _parse_input(args)
-    try:
-        result = fit(ModelKind(args.model), hist, N=args.N)
-    except ValueError as exc:
-        _die(str(exc))
+    result = fit(ModelKind(args.model), hist, N=args.N)
     out = Path(args.out)
-    _dump_json(result.as_dict(), out)
+    _write_json(result.as_dict(), out)
     p = result.params
     scalar = f"alpha={p.alpha!r}" if p.alpha is not None else f"q={p.q!r}"
     print(f"{p.kind.value}: {scalar} R={p.R} N={p.N} loglik={result.loglik!r} "
@@ -145,50 +120,34 @@ def cmd_fit(args) -> int:
 
 def cmd_select(args) -> int:
     hist = _parse_input(args)
-    try:
-        table = select(hist, N=args.N, ensemble=_ensemble(args.ensemble))
-    except ValueError as exc:
-        _die(str(exc))
+    table = select(hist, N=args.N, ensemble=_ensemble(args.ensemble))
     out_dir = Path(args.out_dir)
-    outputs = [
-        (out_dir / "selection.tsv", selection_table_tsv(table)),
-        (out_dir / "best_params.tsv", best_params_tsv(table)),
-    ]
-    for path, text in outputs:
-        _write_text(text, path)
-    json_outputs = [
-        (out_dir / "selection.json", selection_table_dict(table)),
-        (out_dir / "best_params.json", best_params_dict(table)),
-    ]
-    for path, obj in json_outputs:
-        _dump_json(obj, path)
-    if args.format == "json":
-        print(json.dumps(selection_table_dict(table), indent=2))
-    else:
-        print(selection_table_tsv(table), end="")
+    outputs = {
+        "selection.tsv": selection_table_tsv(table),
+        "best_params.tsv": best_params_tsv(table),
+        "selection.json": json_text(selection_table_dict(table)),
+        "best_params.json": json_text(best_params_dict(table)),
+    }
+    for name, text in outputs.items():
+        write_text(out_dir / name, text)
+    sys.stdout.write(outputs[f"selection.{args.format}"])
     print(f"best by AICc: {table.best_by_aicc.value}", file=sys.stderr)
     print(f"best by BIC:  {table.best_by_bic.value}", file=sys.stderr)
-    produced = [p for p, _ in outputs] + [p for p, _ in json_outputs]
     _write_manifest(out_dir / "run_manifest.json", "select", [args.input],
                     {"input": args.input, "N": args.N, "ensemble": args.ensemble,
                      "delimiter": args.delimiter, "format": args.format,
-                     "out_dir": str(out_dir)}, produced)
+                     "out_dir": str(out_dir)}, [out_dir / name for name in outputs])
     return 0
 
 
 def cmd_diagnose(args) -> int:
     hist = _parse_input(args)
-    kinds = _ensemble(args.ensemble)
-    try:
-        fits = [fit(k, hist, N=args.N) for k in kinds]
-        report = diagnose(hist, fits, margin=args.margin)
-    except ValueError as exc:
-        _die(str(exc))
+    fits = [fit(k, hist, N=args.N) for k in _ensemble(args.ensemble)]
+    report = diagnose(hist, fits, margin=args.margin)
     out_dir = Path(args.out_dir)
     files = emit_plot_data(hist, fits, out_dir)
     report_path = out_dir / "diagnostic_report.json"
-    _dump_json(report.as_dict(), report_path)
-    print(json.dumps(report.as_dict(), indent=2))
+    sys.stdout.write(_write_json(report.as_dict(), report_path))
     _write_manifest(out_dir / "run_manifest.json", "diagnose", [args.input],
                     {"input": args.input, "N": args.N, "margin": args.margin,
                      "ensemble": args.ensemble, "delimiter": args.delimiter,
@@ -196,75 +155,62 @@ def cmd_diagnose(args) -> int:
     return 0
 
 
-def _model_from_flags(args) -> ModelParams:
-    if args.model is None:
-        _die("simulate needs --model (or a --config file)")
-    kind = ModelKind(args.model)
-    N = args.N
-    R = args.R if args.R is not None else N
-    if kind.is_zeta:
-        if args.alpha is None:
-            _die(f"{kind.value} needs --alpha")
-        return ModelParams(kind=kind, R=R, N=N, alpha=args.alpha)
-    if args.q is None:
-        _die(f"{kind.value} needs --q")
-    return ModelParams(kind=kind, R=R, N=N, q=args.q)
+def _simulation_settings(args) -> dict:
+    """The flags as one settings dict; keys of a --config object override them."""
+    settings = {
+        "mode": args.mode,
+        "model": {"kind": args.model, "R": args.N if args.R is None else args.R,
+                  "N": args.N, "alpha": args.alpha, "q": args.q},
+        "seed": DEFAULT_SEED if args.seed is None else args.seed,
+        "trials": args.trials,
+        "sample_sizes": [float(s) for s in args.sizes.split(",")] if args.sizes else None,
+        "n": args.n,
+        "ensemble": args.ensemble,
+    }
+    if args.config:
+        settings.update(read_json_object(args.config))
+    return settings
 
 
 def cmd_simulate(args) -> int:
-    inputs = []
     try:
-        if args.config:
-            inputs.append(args.config)
-            cfg_data = json.loads(_read_text(args.config))
-            mode = cfg_data.get("mode", args.mode)
-            model = ModelParams.from_dict(cfg_data["model"])
-            seed = int(cfg_data.get("seed", DEFAULT_SEED))
-            trials = int(cfg_data.get("trials", args.trials))
-            sizes = cfg_data.get("sample_sizes", None)
-            n = cfg_data.get("n", args.n)
-            ensemble = tuple(ModelKind(k) for k in cfg_data["ensemble"]) \
-                if "ensemble" in cfg_data else _ensemble(args.ensemble)
-        else:
-            mode = args.mode
-            model = _model_from_flags(args)
-            seed = args.seed if args.seed is not None else DEFAULT_SEED
-            trials = args.trials
-            sizes = [float(s) for s in args.sizes.split(",")] if args.sizes else None
-            n = args.n
-            ensemble = _ensemble(args.ensemble)
-    except (ValueError, KeyError) as exc:
+        settings = _simulation_settings(args)
+        if settings["model"]["kind"] is None:
+            _die("simulate needs --model (or a model in the --config file)")
+        mode, n = settings["mode"], settings["n"]
+        model = ModelParams.from_dict(settings["model"])
+        seed, trials = int(settings["seed"]), int(settings["trials"])
+        draws = None if n is None else int(n)
+        sizes = None if settings["sample_sizes"] is None else tuple(settings["sample_sizes"])
+        ensemble = _ensemble(settings["ensemble"])
+    except (ValueError, KeyError, TypeError) as exc:
         _die(f"bad simulation configuration: {exc}")
 
+    if mode == "undersampling":
+        if draws is None:
+            _die("undersampling mode needs --n (draws per trial)")
+        est = undersampling_probability(model, draws, trials, seed)
+        payload = {
+            "mode": "undersampling",
+            "model": model.as_dict(),
+            "n": draws,
+            "trials": trials,
+            "seed": seed,
+            "estimate": est.estimate,
+            "half_width": est.half_width,
+        }
+    elif mode == "recovery":
+        if not sizes:
+            _die("recovery mode needs --sizes (comma-separated draw counts)")
+        cfg = SimulationConfig(seed=seed, trials=trials, sample_sizes=sizes, model=model)
+        stats = recovery_experiment(cfg, ensemble=ensemble)
+        payload = {"mode": "recovery", **stats.as_dict()}
+    else:
+        _die(f"unknown simulate mode {mode!r}")
     out = Path(args.out)
-    try:
-        if mode == "undersampling":
-            if n is None:
-                _die("undersampling mode needs --n (draws per trial)")
-            est = undersampling_probability(model, int(n), trials, seed)
-            payload = {
-                "mode": "undersampling",
-                "model": model.as_dict(),
-                "n": int(n),
-                "trials": trials,
-                "seed": seed,
-                "estimate": est.estimate,
-                "half_width": est.half_width,
-            }
-        elif mode == "recovery":
-            if not sizes:
-                _die("recovery mode needs --sizes (comma-separated draw counts)")
-            cfg = SimulationConfig(seed=seed, trials=trials,
-                                   sample_sizes=tuple(sizes), model=model)
-            stats = recovery_experiment(cfg, ensemble=ensemble)
-            payload = {"mode": "recovery", **stats.as_dict()}
-        else:
-            _die(f"unknown simulate mode {mode!r}")
-    except ValueError as exc:
-        _die(str(exc))
-    _dump_json(payload, out)
-    print(json.dumps(payload, indent=2))
-    _write_manifest(Path(str(out) + ".manifest.json"), "simulate", inputs,
+    sys.stdout.write(_write_json(payload, out))
+    _write_manifest(Path(str(out) + ".manifest.json"), "simulate",
+                    [args.config] if args.config else [],
                     {"mode": mode, "model": model.as_dict(), "seed": seed,
                      "trials": trials, "sizes": sizes, "n": n,
                      "out": str(out)}, [out])
@@ -273,11 +219,10 @@ def cmd_simulate(args) -> int:
 
 def cmd_cross_apply(args) -> int:
     fit_path = Path(args.fit)
-    if not fit_path.exists():
-        _die(f"fit file not found: {fit_path}")
+    stored = read_json_object(fit_path)
     try:
-        fitted = FitResult.from_dict(json.loads(fit_path.read_text(encoding="utf-8")))
-    except (ValueError, KeyError) as exc:
+        fitted = FitResult.from_dict(stored)
+    except (ValueError, KeyError, TypeError) as exc:
         _die(f"unreadable fit file {fit_path}: {exc}")
     hist = _parse_input(args)
     value = cross_apply(fitted, hist)
@@ -287,8 +232,7 @@ def cmd_cross_apply(args) -> int:
         **_loglik_json(value),
     }
     out = Path(args.out)
-    _dump_json(payload, out)
-    print(json.dumps(payload, indent=2))
+    sys.stdout.write(_write_json(payload, out))
     _write_manifest(Path(str(out) + ".manifest.json"), "cross-apply",
                     [str(fit_path), args.input],
                     {"fit": str(fit_path), "input": args.input,
@@ -345,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="Monte Carlo recovery or undersampling runs")
     p.add_argument("--mode", choices=("recovery", "undersampling"), default="recovery")
-    p.add_argument("--config", default=None, help="JSON config file (overrides model flags)")
+    p.add_argument("--config", default=None, help="JSON object whose keys override the matching flags")
     p.add_argument("--model", choices=KIND_NAMES, default=None)
     p.add_argument("--q", type=float, default=None)
     p.add_argument("--alpha", type=float, default=None)
@@ -373,7 +317,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         _die(str(exc))
 
 

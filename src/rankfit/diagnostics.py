@@ -8,13 +8,13 @@ each scale and report the model-predicted slopes next to the fitted ones.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import NamedTuple
 
+from ._io import json_text, number, tsv, write_text
 from .estimation import FitResult
 from .histogram import RankHistogram
 from .models import ModelKind, ModelParams, expected_frequency
@@ -117,8 +117,8 @@ def expected_series(m: ModelParams, F0: float, scale: Scale | str) -> PlotSeries
 def slope_fit(series: PlotSeries) -> SlopeFit:
     """Unweighted ordinary least squares over the series points.
 
-    r2 = 1 - SSres/SStot, with the all-equal-y case (SStot = 0) defined as
-    a perfect horizontal fit: slope 0, r2 = 1.
+    r2 = 1 - SSres/SStot, with all-equal y (SStot = 0 in exact arithmetic)
+    defined as a perfect horizontal fit: slope 0, r2 = 1.
     """
     pts = series.points
     if len(pts) < 2:
@@ -129,9 +129,11 @@ def slope_fit(series: PlotSeries) -> SlopeFit:
     sxx = math.fsum((x - xbar) ** 2 for x, _ in pts)
     if sxx == 0.0:
         raise ValueError("slope fit needs at least 2 distinct x values")
+    # tested on the points themselves: ybar can round away from an
+    # all-equal y, which leaves SStot a tiny nonzero number and r2 = 0
+    if all(y == pts[0][1] for _, y in pts):
+        return SlopeFit(slope=0.0, intercept=pts[0][1], r2=1.0)
     sstot = math.fsum((y - ybar) ** 2 for _, y in pts)
-    if sstot == 0.0:
-        return SlopeFit(slope=0.0, intercept=ybar, r2=1.0)
     sxy = math.fsum((x - xbar) * (y - ybar) for x, y in pts)
     slope = sxy / sxx
     intercept = ybar - slope * xbar
@@ -178,24 +180,8 @@ def diagnose(hist: RankHistogram, fits, margin: float = DEFAULT_R2_MARGIN) -> Di
     )
 
 
-def _fmt(x: float) -> str:
-    if x == int(x) and abs(x) < 1e16:
-        return str(int(x))
-    return repr(x)
-
-
 _SCALE_SLUG = {Scale.NORMAL: "normal", Scale.LINEAR_LOG: "linear_log",
                Scale.LOG_LOG: "log_log"}
-
-
-def _write_series(path: Path, series: PlotSeries):
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("x\ty\n")
-            for x, y in series.points:
-                fh.write(f"{_fmt(x)}\t{_fmt(y)}\n")
-    except OSError as exc:
-        raise OSError(f"writing plot series {path}: {exc}") from exc
 
 
 def emit_plot_data(hist: RankHistogram, fits, directory) -> list[Path]:
@@ -207,32 +193,22 @@ def emit_plot_data(hist: RankHistogram, fits, directory) -> list[Path]:
     manifest last.
     """
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
     F0 = math.fsum(hist.frequencies)
+    curves = [("observed", transform_series(hist, scale), {"source": "observed"})
+              for scale in Scale]
+    curves += [(f"expected_{fr.params.kind.value}", expected_series(fr.params, F0, scale),
+                {"source": "expected", "model": fr.params.kind.value})
+               for fr in fits for scale in Scale]
 
     written: list[Path] = []
     manifest = []
-    for scale in Scale:
-        series = transform_series(hist, scale)
-        path = directory / f"observed_{_SCALE_SLUG[scale]}.tsv"
-        _write_series(path, series)
+    for stem, series, entry in curves:
+        path = directory / f"{stem}_{_SCALE_SLUG[series.scale]}.tsv"
+        write_text(path, tsv(("x", "y"), ((number(x), number(y)) for x, y in series.points)))
         written.append(path)
-        manifest.append({"file": path.name, "scale": scale.value, "source": "observed"})
-    for fr in fits:
-        for scale in Scale:
-            series = expected_series(fr.params, F0, scale)
-            path = directory / f"expected_{fr.params.kind.value}_{_SCALE_SLUG[scale]}.tsv"
-            _write_series(path, series)
-            written.append(path)
-            manifest.append({"file": path.name, "scale": scale.value,
-                             "source": "expected", "model": fr.params.kind.value})
+        manifest.append({"file": path.name, "scale": series.scale.value, **entry})
 
     manifest_path = directory / "manifest.json"
-    try:
-        with open(manifest_path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump({"series": manifest}, fh, indent=2)
-            fh.write("\n")
-    except OSError as exc:
-        raise OSError(f"writing manifest {manifest_path}: {exc}") from exc
+    write_text(manifest_path, json_text({"series": manifest}))
     written.append(manifest_path)
     return written

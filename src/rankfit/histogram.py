@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from ._io import number, tsv
+
 __all__ = [
     "ParseError",
     "RankHistogram",
@@ -24,14 +26,6 @@ class ParseError(ValueError):
     def __init__(self, message: str, line: int | None = None):
         super().__init__(message if line is None else f"line {line}: {message}")
         self.line = line
-
-
-def _format_number(x: float) -> str:
-    # integral values print without a trailing ".0"; everything else uses
-    # repr, which round-trips exactly through float()
-    if x == int(x) and abs(x) < 1e16:
-        return str(int(x))
-    return repr(x)
 
 
 @dataclass(frozen=True)
@@ -96,10 +90,8 @@ class RankHistogram:
 
     def to_tsv(self) -> str:
         """Canonical persisted form: header line, then name<TAB>frequency."""
-        lines = [CANONICAL_HEADER]
-        for (_, freq), name in zip(self.entries, self.names):
-            lines.append(f"{name}\t{_format_number(freq)}")
-        return "\n".join(lines) + "\n"
+        return tsv(CANONICAL_HEADER.split("\t"),
+                   zip(self.names, map(number, self.frequencies)))
 
 
 @dataclass(frozen=True)
@@ -178,7 +170,7 @@ def parse_dataset(text: str, *, delimiter: str = "\t", label: str = "",
         if math.isnan(freq) or math.isinf(freq):
             raise ParseError(f"non-finite frequency {freq_text!r}", line=lineno)
         if freq < 0:
-            raise ParseError(f"negative frequency {_format_number(freq)}", line=lineno)
+            raise ParseError(f"negative frequency {number(freq)}", line=lineno)
         if freq == 0:
             notes.append(f"dropped zero-frequency record {name!r} (line {lineno})")
             continue
@@ -197,7 +189,7 @@ def parse_dataset(text: str, *, delimiter: str = "\t", label: str = "",
         if j > i:
             tied = ", ".join(repr(rec[1]) for rec in records[i:j + 1])
             notes.append(
-                f"tie at frequency {_format_number(records[i][2])} broken by "
+                f"tie at frequency {number(records[i][2])} broken by "
                 f"input order: {tied}"
             )
         i = j + 1

@@ -15,7 +15,9 @@ from __future__ import annotations
 import math
 import warnings as _warnings
 from dataclasses import dataclass
+from operator import itemgetter
 
+from ._io import tsv
 from .estimation import FitResult, fit
 from .histogram import RankHistogram, summarize
 from .models import DEFAULT_DOMAIN_CEILING, ModelKind, log_likelihood
@@ -232,21 +234,10 @@ def cross_apply(fit_result: FitResult, other: RankHistogram) -> float:
     return log_likelihood(fit_result.params, summarize(other))
 
 
-def _cell(x) -> str:
-    if x is None:
-        return "NA"
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
-
-
 def selection_table_tsv(table: SelectionTable) -> str:
-    lines = ["\t".join(SELECTION_COLUMNS)]
-    for r in table.rows:
-        lines.append("\t".join(_cell(v) for v in (
-            r.kind.value, r.loglik, r.aicc, r.delta_aicc, r.w_aicc,
-            r.bic, r.delta_bic, r.w_bic)))
-    return "\n".join(lines) + "\n"
+    """The rows of ``selection_table_dict`` without the error column."""
+    rows = selection_table_dict(table)["rows"]
+    return tsv(SELECTION_COLUMNS, map(itemgetter(*SELECTION_COLUMNS), rows))
 
 
 def selection_table_dict(table: SelectionTable) -> dict:
@@ -273,15 +264,8 @@ def selection_table_dict(table: SelectionTable) -> dict:
 
 def best_params_tsv(table: SelectionTable) -> str:
     """Fitted-parameter table: one row per model with R, alpha and q."""
-    lines = ["model\tR\talpha\tq"]
-    for r in table.rows:
-        if r.fit is None:
-            lines.append(f"{r.kind.value}\tNA\tNA\tNA")
-        else:
-            p = r.fit.params
-            lines.append("\t".join((
-                r.kind.value, str(p.R), _cell(p.alpha), _cell(p.q))))
-    return "\n".join(lines) + "\n"
+    columns = ("model", "R", "alpha", "q")
+    return tsv(columns, map(itemgetter(*columns), best_params_dict(table)["rows"]))
 
 
 def best_params_dict(table: SelectionTable) -> dict:

@@ -11,10 +11,12 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
 
+from ._io import tsv
 from .histogram import RankHistogram
 from .models import ModelParams, pmf
 from .selection import DEFAULT_ENSEMBLE, select
@@ -165,14 +167,7 @@ class RecoveryStats:
         """Per-size summary table, one row per sample size."""
         columns = ("sample_size", "trials", "failures", "median_abs_param_error",
                    "aicc_true_fraction", "bic_true_fraction", "undersampled_fraction")
-        lines = ["\t".join(columns)]
-        for s in self.per_size:
-            row = s.as_dict()
-            lines.append("\t".join(
-                "NA" if row[c] is None else
-                (repr(row[c]) if isinstance(row[c], float) else str(row[c]))
-                for c in columns))
-        return "\n".join(lines) + "\n"
+        return tsv(columns, (itemgetter(*columns)(s.as_dict()) for s in self.per_size))
 
 
 def recovery_experiment(cfg: SimulationConfig, ensemble=None) -> RecoveryStats:

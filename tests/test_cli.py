@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -6,6 +7,8 @@ from pathlib import Path
 import pytest
 
 from conftest import cli_env
+from rankfit._io import json_text
+from rankfit.cli import _write_json
 
 REPO = Path(__file__).resolve().parent.parent
 DEMO = REPO / "data" / "demo_synthetic.tsv"
@@ -14,6 +17,15 @@ DEMO = REPO / "data" / "demo_synthetic.tsv"
 def run_cli(*args, cwd):
     return subprocess.run([sys.executable, "-m", "rankfit.cli", *map(str, args)],
                           capture_output=True, text=True, cwd=cwd, env=cli_env())
+
+
+def one_line_error(proc) -> str:
+    """The single `error:` line of a failed run; no traceback allowed."""
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+    return lines[0]
 
 
 def write_dataset(path: Path, r_max: int):
@@ -53,6 +65,15 @@ def test_summarize_tsv_stdout(tmp_path):
     header, values = proc.stdout.strip().splitlines()
     assert header.split("\t") == ["F0", "F1", "FlogR", "mean_rank", "r_max"]
     assert values.split("\t")[4] == "5"
+
+
+def test_summarize_non_utf8_input_is_one_line_error(tmp_path):
+    bad = tmp_path / "latin.tsv"
+    bad.write_bytes(b"label\tfrequency\n\xff\xfe\t4\n")
+    proc = run_cli("summarize", "--input", bad, "--out", tmp_path / "x.json",
+                   cwd=tmp_path)
+    assert str(bad) in one_line_error(proc)
+    assert not (tmp_path / "x.json").exists()
 
 
 def test_summarize_malformed_row_cites_line(tmp_path):
@@ -230,3 +251,52 @@ def test_fit_rerun_byte_identical(tmp_path):
         assert run_cli("fit", "--input", DEMO, "--model", "zeta2", "--out", out,
                        cwd=tmp_path).returncode == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_simulate_config_must_be_json_object(tmp_path):
+    cfg_path = tmp_path / "list.json"
+    cfg_path.write_text("[1, 2, 3]\n", encoding="utf-8")
+    proc = run_cli("simulate", "--config", cfg_path, "--out", tmp_path / "s.json",
+                   cwd=tmp_path)
+    assert str(cfg_path) in one_line_error(proc)
+
+
+@pytest.mark.parametrize("flags, model, named", [
+    ((), None, "--model"),
+    (("--model", "geometric1"), None, " q "),
+    ((), {"R": 24, "N": 24, "q": 0.4}, "'kind'"),
+    ((), {"kind": "zeta1", "R": 24, "N": 24}, "alpha"),
+])
+def test_simulate_missing_model_setting_is_named(tmp_path, flags, model, named):
+    args = ["simulate", "--mode", "undersampling", "--n", 50, "--trials", 5, *flags]
+    if model is not None:
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"model": model}), encoding="utf-8")
+        args += ["--config", cfg_path]
+    proc = run_cli(*args, "--out", tmp_path / "s.json", cwd=tmp_path)
+    assert named in one_line_error(proc)
+
+
+@pytest.mark.parametrize("config_seed, expected", [(None, 31), (77, 77)])
+def test_simulate_config_seed_overrides_flag(tmp_path, config_seed, expected):
+    cfg = {"mode": "undersampling", "n": 40, "trials": 5,
+           "model": {"kind": "geometric1", "q": 0.4, "R": 12, "N": 12}}
+    if config_seed is not None:
+        cfg["seed"] = config_seed
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    out = tmp_path / "s.json"
+    proc = run_cli("simulate", "--config", cfg_path, "--seed", 31, "--out", out,
+                   cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(out.read_text())["seed"] == expected
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_json_output_is_strict(tmp_path, value):
+    with pytest.raises(ValueError):
+        json_text({"loglik": value})
+    out = tmp_path / "sub" / "x.json"
+    with pytest.raises(ValueError):
+        _write_json({"loglik": value}, out)
+    assert not out.parent.exists()  # serialised before any file is opened

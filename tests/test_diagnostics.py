@@ -77,6 +77,15 @@ def test_slope_fit_flat_series():
     assert result.r2 == 1.0
 
 
+@pytest.mark.parametrize("freqs", [[4.45] * 24, [0.38] * 200])
+def test_slope_fit_flat_series_whose_mean_rounds(freqs):
+    # fsum(y)/n lands one ulp off log(f) here, so SStot is not exactly 0
+    series = transform_series(RankHistogram.from_frequencies(freqs), Scale.LINEAR_LOG)
+    result = slope_fit(series)
+    assert result.slope == 0.0
+    assert result.r2 == 1.0
+
+
 def test_slope_fit_rejections():
     with pytest.raises(ValueError):
         slope_fit(PlotSeries(scale=Scale.NORMAL, points=((1.0, 1.0),),
