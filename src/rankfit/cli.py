@@ -180,20 +180,19 @@ def cmd_simulate(args) -> int:
         mode, n = settings["mode"], settings["n"]
         model = ModelParams.from_dict(settings["model"])
         seed, trials = int(settings["seed"]), int(settings["trials"])
-        draws = None if n is None else int(n)
         sizes = None if settings["sample_sizes"] is None else tuple(settings["sample_sizes"])
         ensemble = _ensemble(settings["ensemble"])
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, OverflowError) as exc:
         _die(f"bad simulation configuration: {exc}")
 
     if mode == "undersampling":
-        if draws is None:
+        if n is None:
             _die("undersampling mode needs --n (draws per trial)")
-        est = undersampling_probability(model, draws, trials, seed)
+        est = undersampling_probability(model, n, trials, seed)
         payload = {
             "mode": "undersampling",
             "model": model.as_dict(),
-            "n": draws,
+            "n": int(n),
             "trials": trials,
             "seed": seed,
             "estimate": est.estimate,

@@ -1,5 +1,7 @@
 """Monte Carlo engine: sampling, undersampling estimates, recovery runs.
 
+Each trial is one multinomial draw of its per-rank counts over the R-point
+pmf, so a trial costs O(R) time and memory whatever its number of draws.
 Randomness comes from numpy's PCG64 generator. Each trial derives its own
 substream from (seed, indices) through SeedSequence, so results do not
 depend on execution order; identical configurations reproduce identical
@@ -9,8 +11,9 @@ outputs bit for bit.
 from __future__ import annotations
 
 import math
+import numbers
 import statistics
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -47,9 +50,10 @@ class SimulationConfig:
             raise ValueError("seed must be a 64-bit unsigned integer")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        object.__setattr__(self, "sample_sizes", tuple(float(s) for s in self.sample_sizes))
-        if not self.sample_sizes or any(s < 1 for s in self.sample_sizes):
-            raise ValueError("sample sizes must be >= 1")
+        if not self.sample_sizes:
+            raise ValueError("sample sizes must not be empty")
+        object.__setattr__(self, "sample_sizes", tuple(
+            float(_draw_count(s, "sample sizes")) for s in self.sample_sizes))
 
     def as_dict(self) -> dict:
         return {
@@ -70,24 +74,24 @@ def _child_seed(seed: int, *key: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _cumulative(m: ModelParams) -> np.ndarray:
-    cum = np.cumsum([pmf(m, r) for r in range(1, m.R + 1)])
-    cum[-1] = 1.0  # close the table against rounding in the last cell
-    return cum
+def _draw_count(n, name: str) -> int:
+    """n as an int; ValueError unless it is a whole number in [1, 2**63 - 1]."""
+    if not (isinstance(n, numbers.Real) and 1 <= n < 2 ** 63 and n == int(n)):
+        raise ValueError(f"{name} must be a whole number from 1 to 2**63 - 1, got {n!r}")
+    return int(n)
 
 
 def sample_counts(m: ModelParams, n: int, seed: int) -> np.ndarray:
     """Draw n ranks from the model pmf; returns counts per category 1..R.
 
-    Inverse-CDF sampling over the R-point support with a precomputed
-    cumulative table. Deterministic for a fixed seed.
+    One multinomial draw over the R-point pmf, built in O(R) as p(1) times
+    the weight ratios r**-alpha or (1-q)**(r-1). Time and memory do not
+    depend on n. Deterministic for a fixed seed.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    rng = np.random.default_rng(seed)
-    u = rng.random(int(n))
-    idx = np.searchsorted(_cumulative(m), u, side="right")
-    return np.bincount(idx, minlength=m.R)
+    n = _draw_count(n, "n")
+    r = np.arange(m.R)  # rank - 1
+    ratio = (r + 1.0) ** -m.alpha if m.kind.is_zeta else (1.0 - m.q) ** r
+    return np.random.default_rng(seed).multinomial(n, pmf(m, 1) * ratio)
 
 
 def sample(m: ModelParams, n: int, seed: int) -> RankHistogram:
@@ -140,15 +144,7 @@ class SizeRecovery:
     undersampled_fraction: float | None
 
     def as_dict(self) -> dict:
-        return {
-            "sample_size": self.sample_size,
-            "trials": self.trials,
-            "failures": self.failures,
-            "median_abs_param_error": self.median_abs_param_error,
-            "aicc_true_fraction": self.aicc_true_fraction,
-            "bic_true_fraction": self.bic_true_fraction,
-            "undersampled_fraction": self.undersampled_fraction,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -300,3 +300,22 @@ def test_json_output_is_strict(tmp_path, value):
     with pytest.raises(ValueError):
         _write_json({"loglik": value}, out)
     assert not out.parent.exists()  # serialised before any file is opened
+
+
+@pytest.mark.parametrize("flags, config, named", [
+    (("--mode", "undersampling", "--n", "100000000000000000000"), None, "n must"),
+    (("--mode", "recovery", "--sizes", "inf"), None, "sample sizes must"),
+    (("--mode", "recovery", "--sizes", "100,150.5"), None, "sample sizes must"),
+    ((), {"mode": "undersampling", "n": math.inf}, "n must"),
+    ((), {"mode": "undersampling", "n": 50, "trials": math.inf}, "infinity"),
+], ids=["n-1e20", "sizes-inf", "sizes-fraction", "config-n-inf", "config-trials-inf"])
+def test_simulate_bad_draw_count_is_one_line_error(tmp_path, flags, config, named):
+    args = ["simulate", "--model", "geometric1", "--q", "0.4", "--trials", 5, *flags]
+    if config is not None:
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config), encoding="utf-8")
+        args += ["--config", cfg_path]
+    out = tmp_path / "s.json"
+    proc = run_cli(*args, "--out", out, cwd=tmp_path)
+    assert named in one_line_error(proc)
+    assert not out.exists()

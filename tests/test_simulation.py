@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -71,6 +72,30 @@ def test_sampler_chi_square(model):
         stat = float(((counts - expected) ** 2 / expected).sum())
         exceed += stat > threshold
     assert exceed <= 5
+
+
+def test_sample_counts_memory_does_not_grow_with_n():
+    m = geometric1(0.3, 24)
+    sample_counts(m, 10, seed=1)  # the first default_rng call in a process allocates ~1 MB once
+    tracemalloc.start()
+    try:
+        counts = sample_counts(m, 10 ** 12, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts.shape == (24,)
+    assert int(counts.sum()) == 10 ** 12
+    assert peak < 64 * 1024
+
+
+@pytest.mark.parametrize("n", [0, -3, 150.5, 0.5, math.inf, -math.inf, math.nan,
+                               2 ** 63, 10 ** 20, "100", None])
+def test_bad_draw_counts_are_value_errors(n):
+    m = geometric1(0.4, 24)
+    with pytest.raises(ValueError, match="whole number"):
+        sample_counts(m, n, seed=1)
+    with pytest.raises(ValueError, match="whole number"):
+        SimulationConfig(seed=1, trials=5, sample_sizes=(10, n), model=m)
 
 
 def test_undersampling_degenerate_cases():
