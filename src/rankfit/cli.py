@@ -155,6 +155,14 @@ def cmd_diagnose(args) -> int:
     return 0
 
 
+def _whole(value, name: str, lo: int, hi: int) -> int:
+    """value as an int; ValueError unless it is a whole number in [lo, hi)."""
+    whole = int(value)  # inf and nan fail here, named by Python's own message
+    if whole != value or not lo <= whole < hi:
+        raise ValueError(f"{name} must be a whole number from {lo} to {hi - 1}, got {value!r}")
+    return whole
+
+
 def _simulation_settings(args) -> dict:
     """The flags as one settings dict; keys of a --config object override them."""
     settings = {
@@ -163,7 +171,9 @@ def _simulation_settings(args) -> dict:
                   "N": args.N, "alpha": args.alpha, "q": args.q},
         "seed": DEFAULT_SEED if args.seed is None else args.seed,
         "trials": args.trials,
-        "sample_sizes": [float(s) for s in args.sizes.split(",")] if args.sizes else None,
+        # whole numbers stay exact ints: float() rounds them above 2**53
+        "sample_sizes": [int(s) if s.strip().isdigit() else float(s)
+                         for s in args.sizes.split(",")] if args.sizes else None,
         "n": args.n,
         "ensemble": args.ensemble,
     }
@@ -179,7 +189,8 @@ def cmd_simulate(args) -> int:
             _die("simulate needs --model (or a model in the --config file)")
         mode, n = settings["mode"], settings["n"]
         model = ModelParams.from_dict(settings["model"])
-        seed, trials = int(settings["seed"]), int(settings["trials"])
+        seed = _whole(settings["seed"], "seed", 0, 2 ** 64)
+        trials = _whole(settings["trials"], "trials", 1, 2 ** 63)
         sizes = None if settings["sample_sizes"] is None else tuple(settings["sample_sizes"])
         ensemble = _ensemble(settings["ensemble"])
     except (ValueError, KeyError, TypeError, OverflowError) as exc:
@@ -189,19 +200,13 @@ def cmd_simulate(args) -> int:
         if n is None:
             _die("undersampling mode needs --n (draws per trial)")
         est = undersampling_probability(model, n, trials, seed)
-        payload = {
-            "mode": "undersampling",
-            "model": model.as_dict(),
-            "n": int(n),
-            "trials": trials,
-            "seed": seed,
-            "estimate": est.estimate,
-            "half_width": est.half_width,
-        }
+        payload = {"mode": "undersampling", "model": model.as_dict(), "n": int(n),
+                   "trials": trials, "seed": seed, **est._asdict()}
     elif mode == "recovery":
         if not sizes:
             _die("recovery mode needs --sizes (comma-separated draw counts)")
         cfg = SimulationConfig(seed=seed, trials=trials, sample_sizes=sizes, model=model)
+        sizes = cfg.sample_sizes
         stats = recovery_experiment(cfg, ensemble=ensemble)
         payload = {"mode": "recovery", **stats.as_dict()}
     else:

@@ -6,6 +6,9 @@ Randomness comes from numpy's PCG64 generator. Each trial derives its own
 substream from (seed, indices) through SeedSequence, so results do not
 depend on execution order; identical configurations reproduce identical
 outputs bit for bit.
+
+numpy loads only when a simulation runs (sample_counts, sample,
+undersampling_probability, recovery_experiment), not on import.
 """
 
 from __future__ import annotations
@@ -16,8 +19,6 @@ import statistics
 from dataclasses import asdict, dataclass
 from operator import itemgetter
 from typing import NamedTuple
-
-import numpy as np
 
 from ._io import tsv
 from .histogram import RankHistogram
@@ -42,7 +43,7 @@ class SimulationConfig:
 
     seed: int
     trials: int
-    sample_sizes: tuple[float, ...]
+    sample_sizes: tuple[int, ...]
     model: ModelParams
 
     def __post_init__(self):
@@ -53,7 +54,7 @@ class SimulationConfig:
         if not self.sample_sizes:
             raise ValueError("sample sizes must not be empty")
         object.__setattr__(self, "sample_sizes", tuple(
-            float(_draw_count(s, "sample sizes")) for s in self.sample_sizes))
+            _draw_count(s, "sample sizes") for s in self.sample_sizes))
 
     def as_dict(self) -> dict:
         return {
@@ -70,6 +71,7 @@ class UndersamplingEstimate(NamedTuple):
 
 
 def _child_seed(seed: int, *key: int) -> int:
+    import numpy as np
     ss = np.random.SeedSequence((int(seed),) + tuple(int(k) for k in key))
     return int(ss.generate_state(1, np.uint64)[0])
 
@@ -81,13 +83,14 @@ def _draw_count(n, name: str) -> int:
     return int(n)
 
 
-def sample_counts(m: ModelParams, n: int, seed: int) -> np.ndarray:
-    """Draw n ranks from the model pmf; returns counts per category 1..R.
+def sample_counts(m: ModelParams, n: int, seed: int):
+    """Draw n ranks from the model pmf; returns numpy counts per category 1..R.
 
     One multinomial draw over the R-point pmf, built in O(R) as p(1) times
     the weight ratios r**-alpha or (1-q)**(r-1). Time and memory do not
     depend on n. Deterministic for a fixed seed.
     """
+    import numpy as np
     n = _draw_count(n, "n")
     r = np.arange(m.R)  # rank - 1
     ratio = (r + 1.0) ** -m.alpha if m.kind.is_zeta else (1.0 - m.q) ** r
@@ -121,6 +124,7 @@ def undersampling_probability(m: ModelParams, n: int, trials: int,
     continuity correction, which keeps coverage conservative at moderate
     trial counts.
     """
+    import numpy as np
     if trials < 1:
         raise ValueError("trials must be >= 1")
     under = 0
@@ -184,8 +188,7 @@ def recovery_experiment(cfg: SimulationConfig, ensemble=None) -> RecoveryStats:
     truth = cfg.model.scalar
 
     per_size = []
-    for i_size, size in enumerate(cfg.sample_sizes):
-        n = int(size)
+    for i_size, n in enumerate(cfg.sample_sizes):
         errors = []
         aicc_hits = 0
         bic_hits = 0

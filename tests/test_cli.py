@@ -244,6 +244,68 @@ def test_simulate_rejects_zero_trials(tmp_path):
     assert "trials" in proc.stderr
 
 
+@pytest.mark.parametrize("trials, seed, named", [
+    (2.5, 7, "trials must"),
+    (3, 7.9, "seed must"),
+    (3, 2 ** 64, "seed must"),
+    (3, -1, "seed must"),
+])
+def test_simulate_trials_and_seed_must_be_whole(tmp_path, trials, seed, named):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"trials": trials, "seed": seed}), encoding="utf-8")
+    out = tmp_path / "s.json"
+    proc = run_cli("simulate", "--mode", "recovery", "--model", "geometric1", "--q", "0.4",
+                   "--sizes", "50", "--config", cfg_path, "--out", out, cwd=tmp_path)
+    assert named in one_line_error(proc)
+    assert not out.exists()
+
+
+def test_simulate_whole_valued_floats_are_written_as_ints(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"trials": 2.0, "seed": 7.0, "sample_sizes": [40.0]}),
+                        encoding="utf-8")
+    out = tmp_path / "s.json"
+    proc = run_cli("simulate", "--mode", "recovery", "--model", "geometric1", "--q", "0.4",
+                   "--ensemble", "geometric1", "--config", cfg_path, "--out", out,
+                   cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    text = out.read_text()
+    assert '"trials": 2,' in text and '"seed": 7,' in text
+    sizes = json.loads(text)["sample_sizes"]
+    manifest = json.loads((tmp_path / "s.json.manifest.json").read_text())
+    for listed in (sizes, manifest["parameters"]["sizes"]):
+        assert listed == [40] and type(listed[0]) is int
+    assert manifest["parameters"]["trials"] == 2 and manifest["parameters"]["seed"] == 7
+
+
+def test_simulate_sizes_flag_keeps_exact_ints(tmp_path):
+    out = tmp_path / "s.json"
+    proc = run_cli("simulate", "--mode", "recovery", "--model", "geometric1", "--q", "0.4",
+                   "--sizes", f"40,{2 ** 63 - 1}", "--trials", 1, "--ensemble",
+                   "geometric1", "--out", out, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(out.read_text())
+    assert payload["sample_sizes"] == [40, 2 ** 63 - 1]
+    assert [s["sample_size"] for s in payload["per_size"]] == [40, 2 ** 63 - 1]
+
+
+NUMPY_PROBE = """
+import sys
+import rankfit, rankfit.cli
+assert rankfit.cli.main(["select", "--input", sys.argv[1], "--out-dir", sys.argv[2]]) == 0
+assert "numpy" not in sys.modules, "select loaded numpy"
+rankfit.undersampling_probability(rankfit.geometric1(0.4, 12), 30, trials=2, seed=1)
+assert "numpy" in sys.modules, "undersampling_probability ran without numpy"
+"""
+
+
+def test_numpy_loads_only_when_simulating(tmp_path):
+    proc = subprocess.run([sys.executable, "-c", NUMPY_PROBE, str(DEMO), str(tmp_path / "sel")],
+                          capture_output=True, text=True, cwd=tmp_path, env=cli_env())
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "sel" / "selection.tsv").exists()
+
+
 def test_fit_rerun_byte_identical(tmp_path):
     out1 = tmp_path / "f1.json"
     out2 = tmp_path / "f2.json"

@@ -188,3 +188,14 @@ def test_recovery_stats_tsv_summary():
     assert lines[0].startswith("sample_size\ttrials")
     assert len(lines) == 3
     assert lines[1].split("\t")[0] == "60"
+
+
+def test_sample_sizes_stay_exact_ints():
+    big = 2 ** 63 - 1  # float() would round it to 2**63, past the draw-count limit
+    cfg = SimulationConfig(seed=1, trials=1, sample_sizes=(big, 40.0),
+                           model=geometric1(0.4, 24))
+    assert cfg.sample_sizes == (big, 40)
+    assert all(type(s) is int for s in cfg.sample_sizes)
+    d = recovery_experiment(cfg, ensemble=(ModelKind.GEOMETRIC1,)).as_dict()
+    assert d["sample_sizes"] == [big, 40]
+    assert [s["sample_size"] for s in d["per_size"]] == [big, 40]
