@@ -28,7 +28,8 @@ from .selection import (
     selection_table_dict,
     selection_table_tsv,
 )
-from .simulation import SimulationConfig, recovery_experiment, undersampling_probability
+from .simulation import (SimulationConfig, _draw_count, _whole, recovery_experiment,
+                         undersampling_probability)
 
 DEFAULT_SEED = 12345
 KIND_NAMES = tuple(k.value for k in ModelKind)
@@ -155,14 +156,6 @@ def cmd_diagnose(args) -> int:
     return 0
 
 
-def _whole(value, name: str, lo: int, hi: int) -> int:
-    """value as an int; ValueError unless it is a whole number in [lo, hi)."""
-    whole = int(value)  # inf and nan fail here, named by Python's own message
-    if whole != value or not lo <= whole < hi:
-        raise ValueError(f"{name} must be a whole number from {lo} to {hi - 1}, got {value!r}")
-    return whole
-
-
 def _simulation_settings(args) -> dict:
     """The flags as one settings dict; keys of a --config object override them."""
     settings = {
@@ -199,14 +192,15 @@ def cmd_simulate(args) -> int:
     if mode == "undersampling":
         if n is None:
             _die("undersampling mode needs --n (draws per trial)")
+        n, sizes = _draw_count(n, "n"), None
         est = undersampling_probability(model, n, trials, seed)
-        payload = {"mode": "undersampling", "model": model.as_dict(), "n": int(n),
+        payload = {"mode": "undersampling", "model": model.as_dict(), "n": n,
                    "trials": trials, "seed": seed, **est._asdict()}
     elif mode == "recovery":
         if not sizes:
             _die("recovery mode needs --sizes (comma-separated draw counts)")
         cfg = SimulationConfig(seed=seed, trials=trials, sample_sizes=sizes, model=model)
-        sizes = cfg.sample_sizes
+        n, sizes = None, cfg.sample_sizes
         stats = recovery_experiment(cfg, ensemble=ensemble)
         payload = {"mode": "recovery", **stats.as_dict()}
     else:

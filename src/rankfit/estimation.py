@@ -4,7 +4,9 @@ The free scalar of each kind is maximized over a fixed interval: alpha on
 [0, 1e6], q on [1e-9, 1 - 1e-9] (the open unit interval realized with an
 inset). 2-parameter kinds pin the truncation rank to R = r_max before the
 scalar search, since the log-likelihood is -inf below r_max and strictly
-decreasing above it.
+decreasing above it. Each point of the scan and of the golden-section
+refinement evaluates the closed form in F0, F1 and FlogR
+(models.scalar_log_likelihood); no model object is built per point.
 """
 
 from __future__ import annotations
@@ -15,12 +17,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .histogram import RankHistogram, SummaryStats, summarize
-from .models import (
-    DEFAULT_DOMAIN_CEILING,
-    ModelKind,
-    ModelParams,
-    log_likelihood,
-)
+from .models import DEFAULT_DOMAIN_CEILING, ModelKind, ModelParams, scalar_log_likelihood
+from .models import log_likelihood  # noqa: F401  (bench/tracing.py counts calls through this name)
 
 __all__ = [
     "ALPHA_INTERVAL",
@@ -219,10 +217,7 @@ def fit(kind: ModelKind | str, hist: RankHistogram, N: int = DEFAULT_DOMAIN_CEIL
             init = mle_q_untruncated(s)
         notes.extend(str(w.message) for w in caught)
 
-    def objective(x: float) -> float:
-        return log_likelihood(_make_params(kind, x, R, N), s)
-
-    opt = optimize_scalar(objective, lo, hi, tol=tol, init=init)
+    opt = optimize_scalar(scalar_log_likelihood(kind, R, s), lo, hi, tol=tol, init=init)
     if not opt.unique:
         notes.append("flat log-likelihood over the search interval; optimum is not unique")
     return FitResult(

@@ -17,6 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
+from typing import Callable
 
 from .histogram import SummaryStats
 
@@ -29,6 +31,7 @@ __all__ = [
     "geom_norm",
     "pmf",
     "log_likelihood",
+    "scalar_log_likelihood",
     "expected_frequency",
     "to_exponential_form",
     "zeta1",
@@ -138,7 +141,7 @@ def harmonic(alpha: float, R: int) -> float:
         raise ValueError("R must be >= 1")
     if not (math.isfinite(alpha) and alpha >= 0):
         raise ValueError("alpha must be a finite real >= 0")
-    return math.fsum(r ** -alpha for r in range(R, 0, -1))
+    return math.fsum(map(pow, range(R, 0, -1), repeat(-alpha)))
 
 
 def geom_norm(q: float, R: int) -> float:
@@ -169,17 +172,26 @@ def log_likelihood(m: ModelParams, s: SummaryStats) -> float:
     """Log-likelihood of a histogram (via its summary stats) under m, in nats.
 
     Returns -inf when the data attest a rank beyond the model support
-    (r_max > R), since some observation then has zero probability.
-    Closed forms:
-
-      zeta:       -alpha * FlogR - F0 * log H(alpha, R)
-      geometric:  F0 * log c(q, R) + (F1 - F0) * log(1 - q)
+    (r_max > R), since some observation then has zero probability, and
+    the closed form of scalar_log_likelihood otherwise.
     """
     if s.r_max > m.R:
         return -math.inf
-    if m.kind.is_zeta:
-        return -m.alpha * s.FlogR - s.F0 * math.log(harmonic(m.alpha, m.R))
-    return s.F0 * math.log(geom_norm(m.q, m.R)) + (s.F1 - s.F0) * math.log1p(-m.q)
+    return scalar_log_likelihood(m.kind, m.R, s)(m.scalar)
+
+
+def scalar_log_likelihood(kind: ModelKind, R: int, s: SummaryStats) -> Callable[[float], float]:
+    """log_likelihood on 1..R as a function of the free scalar, for r_max <= R:
+
+      zeta:       alpha -> -alpha * FlogR - F0 * log H(alpha, R)
+      geometric:  q -> F0 * log c(q, R) + (F1 - F0) * log(1 - q)
+
+    The optimizer calls it per evaluation, so no ModelParams is built there.
+    """
+    F0, FlogR, tail = s.F0, s.FlogR, s.F1 - s.F0
+    if kind.is_zeta:
+        return lambda alpha: -alpha * FlogR - F0 * math.log(harmonic(alpha, R))
+    return lambda q: F0 * math.log(geom_norm(q, R)) + tail * math.log1p(-q)
 
 
 def expected_frequency(m: ModelParams, F0: float, r: int) -> float:

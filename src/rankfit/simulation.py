@@ -49,8 +49,7 @@ class SimulationConfig:
     def __post_init__(self):
         if not (isinstance(self.seed, int) and 0 <= self.seed < 2 ** 64):
             raise ValueError("seed must be a 64-bit unsigned integer")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        object.__setattr__(self, "trials", _whole(self.trials, "trials", 1, 2 ** 63))
         if not self.sample_sizes:
             raise ValueError("sample sizes must not be empty")
         object.__setattr__(self, "sample_sizes", tuple(
@@ -74,6 +73,14 @@ def _child_seed(seed: int, *key: int) -> int:
     import numpy as np
     ss = np.random.SeedSequence((int(seed),) + tuple(int(k) for k in key))
     return int(ss.generate_state(1, np.uint64)[0])
+
+
+def _whole(value, name: str, lo: int, hi: int) -> int:
+    """value as an int; ValueError unless it is a whole number in [lo, hi)."""
+    whole = int(value)  # inf and nan fail here, named by Python's own message
+    if whole != value or not lo <= whole < hi:
+        raise ValueError(f"{name} must be a whole number from {lo} to {hi - 1}, got {value!r}")
+    return whole
 
 
 def _draw_count(n, name: str) -> int:
@@ -125,8 +132,7 @@ def undersampling_probability(m: ModelParams, n: int, trials: int,
     trial counts.
     """
     import numpy as np
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    trials, seed = _whole(trials, "trials", 1, 2 ** 63), _whole(seed, "seed", 0, 2 ** 64)
     under = 0
     for t in range(trials):
         counts = sample_counts(m, n, _child_seed(seed, t))

@@ -278,6 +278,24 @@ def test_simulate_whole_valued_floats_are_written_as_ints(tmp_path):
     assert manifest["parameters"]["trials"] == 2 and manifest["parameters"]["seed"] == 7
 
 
+@pytest.mark.parametrize("mode, config, n, sizes", [
+    ("undersampling", {"n": 60.0, "sample_sizes": [10]}, 60, None),
+    ("recovery", {"n": 60.0, "sample_sizes": [40.0]}, None, [40]),
+])
+def test_simulate_manifest_records_the_settings_used(tmp_path, mode, config, n, sizes):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"mode": mode, "trials": 2, **config}), encoding="utf-8")
+    out = tmp_path / "s.json"
+    proc = run_cli("simulate", "--model", "geometric1", "--q", "0.4", "--ensemble",
+                   "geometric1", "--config", cfg_path, "--out", out, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    params = json.loads((tmp_path / "s.json.manifest.json").read_text())["parameters"]
+    assert (params["n"], params["sizes"]) == (n, sizes)
+    assert '"n": 60.0' not in (tmp_path / "s.json.manifest.json").read_text()
+    if mode == "undersampling":
+        assert json.loads(out.read_text())["n"] == params["n"]
+
+
 def test_simulate_sizes_flag_keeps_exact_ints(tmp_path):
     out = tmp_path / "s.json"
     proc = run_cli("simulate", "--mode", "recovery", "--model", "geometric1", "--q", "0.4",

@@ -7,6 +7,7 @@ from rankfit import (
     ALPHA_INTERVAL,
     FitResult,
     ModelKind,
+    ModelParams,
     Q_INTERVAL,
     RankHistogram,
     expected_frequency,
@@ -120,6 +121,21 @@ def test_fit_degenerate_single_rank():
     result_g = fit(ModelKind.GEOMETRIC2, h, N=24)
     assert not result_g.converged
     assert result_g.params.q == 0.5
+
+
+@pytest.mark.parametrize("kind", list(ModelKind))
+def test_fit_builds_no_model_params_per_evaluation(kind, monkeypatch):
+    built = []
+    post_init = ModelParams.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(ModelParams, "__post_init__", counting)
+    result = fit(kind, RankHistogram.from_frequencies([40, 22, 13, 9, 5, 3, 2, 1]))
+    assert result.iterations > 1000
+    assert len(built) <= 2
 
 
 def test_fit_rejects_r_max_beyond_ceiling():

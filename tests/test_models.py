@@ -34,6 +34,12 @@ def test_harmonic_examples():
         assert harmonic(alpha, 1) == 1.0
 
 
+@pytest.mark.parametrize("alpha", [0.0, 1e-12, 1.0, 976.5625, 1e6])
+@pytest.mark.parametrize("R", [1, 24, 200])
+def test_harmonic_is_the_exactly_rounded_sum_from_r_equals_R_down(alpha, R):
+    assert harmonic(alpha, R) == math.fsum(r ** -alpha for r in range(R, 0, -1))
+
+
 def test_geom_norm_examples():
     assert geom_norm(0.5, 2) == pytest.approx(2 / 3, abs=1e-15)
     assert geom_norm(0.5, 1) == 1.0

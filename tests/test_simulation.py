@@ -121,6 +121,20 @@ def test_undersampling_rejects_bad_trials():
         undersampling_probability(geometric1(0.5, 24), 10, trials=0, seed=1)
 
 
+@pytest.mark.parametrize("trials, seed", [(2.5, 1), (4, 1.5), (4, -1), (4, 2 ** 64)])
+def test_undersampling_trials_and_seed_must_be_whole(trials, seed):
+    with pytest.raises(ValueError, match="must be a whole number"):
+        undersampling_probability(geometric1(0.5, 24), 30, trials=trials, seed=seed)
+
+
+def test_recovery_trials_must_be_whole():
+    with pytest.raises(ValueError, match="trials must be a whole number"):
+        recovery_experiment(SimulationConfig(seed=1, trials=2.5, sample_sizes=(30,),
+                                             model=geometric1(0.5, 24)))
+    cfg = SimulationConfig(seed=1, trials=2.0, sample_sizes=(30,), model=geometric1(0.5, 24))
+    assert type(cfg.trials) is int and cfg.as_dict()["trials"] == 2
+
+
 def test_simulation_config_validation():
     m = geometric1(0.4, 24)
     with pytest.raises(ValueError):
