@@ -6,7 +6,9 @@ inset). 2-parameter kinds pin the truncation rank to R = r_max before the
 scalar search, since the log-likelihood is -inf below r_max and strictly
 decreasing above it. Each point of the scan and of the golden-section
 refinement evaluates the closed form in F0, F1 and FlogR
-(models.scalar_log_likelihood); no model object is built per point.
+(models.scalar_log_likelihood); no model object is built per point. Zeta
+points past the short-cut threshold of models.harmonic (alpha >= about
+54 + log2(R - 1): all scan points but alpha = 0) cost O(1), not O(R).
 """
 
 from __future__ import annotations
@@ -173,13 +175,14 @@ def _make_params(kind: ModelKind, scalar: float, R: int, N: int) -> ModelParams:
     return ModelParams(kind=kind, R=R, N=N, q=scalar)
 
 
-def fit(kind: ModelKind | str, hist: RankHistogram, N: int = DEFAULT_DOMAIN_CEILING,
-        tol: float = 1e-9) -> FitResult:
-    """Fit one ensemble member to a histogram by maximum likelihood.
+def fit(kind: ModelKind | str, hist: RankHistogram | SummaryStats,
+        N: int = DEFAULT_DOMAIN_CEILING, tol: float = 1e-9) -> FitResult:
+    """Fit one ensemble member to a histogram, or its SummaryStats, by maximum likelihood.
 
     2-parameter kinds get R = r_max (any smaller R has zero likelihood,
     any larger strictly lowers it); 1-parameter kinds get R = N. The free
-    scalar is then maximized over its interval.
+    scalar is then maximized over its interval. The stats are all a fit
+    reads, so ``select`` passes the ones it made and summarizes once.
 
     Rejects histograms with r_max > N. A single-rank histogram makes the
     scalar of a 2-parameter kind unidentifiable (pmf is the point mass at
@@ -187,7 +190,7 @@ def fit(kind: ModelKind | str, hist: RankHistogram, N: int = DEFAULT_DOMAIN_CEIL
     ``converged=False`` and a degeneracy warning.
     """
     kind = ModelKind(kind)
-    s = summarize(hist)
+    s = hist if isinstance(hist, SummaryStats) else summarize(hist)
     if s.r_max > N:
         raise ValueError(f"dataset attests r_max={s.r_max} ranks, beyond the domain ceiling N={N}")
 

@@ -135,12 +135,16 @@ def harmonic(alpha: float, R: int) -> float:
     """Generalized harmonic number: sum of r**-alpha for r = 1..R.
 
     Summed from r = R down to 1 so the smallest terms accumulate first;
-    fsum keeps the result exactly rounded either way.
+    fsum keeps the result exactly rounded either way. Once (R - 1) * 2**-alpha
+    <= 2**-54 (alpha >= about 54 + log2(R - 1)) the terms below rank 1 total
+    under half an ulp of 1 (factor 2 spare for pow rounding), so 1.0 is exact.
     """
     if R < 1:
         raise ValueError("R must be >= 1")
     if not (math.isfinite(alpha) and alpha >= 0):
         raise ValueError("alpha must be a finite real >= 0")
+    if (R - 1) * 2.0 ** -alpha <= 2.0 ** -54:
+        return 1.0
     return math.fsum(map(pow, range(R, 0, -1), repeat(-alpha)))
 
 

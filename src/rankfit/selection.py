@@ -180,14 +180,14 @@ def select(hist: RankHistogram, N: int = DEFAULT_DOMAIN_CEILING,
     kinds = tuple(ModelKind(k) for k in (ensemble if ensemble is not None else DEFAULT_ENSEMBLE))
     if not kinds:
         raise ValueError("ensemble must not be empty")
-    F0 = summarize(hist).F0
+    s = summarize(hist)
 
     fitted: list[tuple[ModelKind, FitResult | None, float | None, float | None, str | None]] = []
     for kind in kinds:
         try:
-            fr = fit(kind, hist, N)
-            a = aicc(fr.loglik, fr.n_params, F0)
-            b = bic(fr.loglik, fr.n_params, F0)
+            fr = fit(kind, s, N)
+            a = aicc(fr.loglik, fr.n_params, s.F0)
+            b = bic(fr.loglik, fr.n_params, s.F0)
             fitted.append((kind, fr, a, b, None))
         except ValueError as exc:
             fitted.append((kind, None, None, None, str(exc)))
@@ -221,7 +221,7 @@ def select(hist: RankHistogram, N: int = DEFAULT_DOMAIN_CEILING,
         rows=tuple(rows),
         best_by_aicc=_argbest(rows, lambda r: r.aicc),
         best_by_bic=_argbest(rows, lambda r: r.bic),
-        F0=F0,
+        F0=s.F0,
     )
 
 

@@ -77,7 +77,10 @@ def _child_seed(seed: int, *key: int) -> int:
 
 def _whole(value, name: str, lo: int, hi: int) -> int:
     """value as an int; ValueError unless it is a whole number in [lo, hi)."""
-    whole = int(value)  # inf and nan fail here, named by Python's own message
+    try:
+        whole = int(value)  # inf, nan and None fail here, named by Python's own message
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(str(exc)) from exc
     if whole != value or not lo <= whole < hi:
         raise ValueError(f"{name} must be a whole number from {lo} to {hi - 1}, got {value!r}")
     return whole

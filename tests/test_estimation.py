@@ -16,6 +16,7 @@ from rankfit import (
     log_likelihood,
     mle_q_untruncated,
     optimize_scalar,
+    select,
     summarize,
     zeta2,
     geometric2,
@@ -136,6 +137,37 @@ def test_fit_builds_no_model_params_per_evaluation(kind, monkeypatch):
     result = fit(kind, RankHistogram.from_frequencies([40, 22, 13, 9, 5, 3, 2, 1]))
     assert result.iterations > 1000
     assert len(built) <= 2
+
+
+@pytest.mark.parametrize("N", [24, 200])
+def test_fits_are_bit_identical_to_the_plain_harmonic_sum(N, monkeypatch):
+    rng = np.random.default_rng(8)
+    hists = [random_histogram(rng, r_max_lo=2, r_max_hi=N) for _ in range(3)]
+    hists.append(RankHistogram.from_frequencies([5.5, 2.25, 0.75]))
+    kinds = list(ModelKind)
+    fast = [fit(kind, h, N).as_dict() for h in hists for kind in kinds]
+    monkeypatch.setattr("rankfit.models.harmonic",
+                        lambda alpha, R: math.fsum(r ** -alpha for r in range(R, 0, -1)))
+    assert [fit(kind, h, N).as_dict() for h in hists for kind in kinds] == fast
+
+
+@pytest.mark.parametrize("kind", list(ModelKind))
+def test_fit_takes_summary_stats_in_place_of_the_histogram(kind):
+    h = RankHistogram.from_frequencies([40, 22, 13, 9, 5, 3, 2, 1])
+    assert fit(kind, summarize(h)) == fit(kind, h)
+
+
+def test_select_summarizes_once(monkeypatch):
+    calls = []
+
+    def counting(hist):
+        calls.append(hist)
+        return summarize(hist)
+
+    monkeypatch.setattr("rankfit.estimation.summarize", counting)
+    monkeypatch.setattr("rankfit.selection.summarize", counting)
+    select(RankHistogram.from_frequencies([40, 22, 13, 9, 5, 3, 2, 1]))
+    assert len(calls) == 1
 
 
 def test_fit_rejects_r_max_beyond_ceiling():

@@ -40,6 +40,17 @@ def test_harmonic_is_the_exactly_rounded_sum_from_r_equals_R_down(alpha, R):
     assert harmonic(alpha, R) == math.fsum(r ** -alpha for r in range(R, 0, -1))
 
 
+@pytest.mark.parametrize("R", [1, 2, 24, 200, 5000])
+def test_harmonic_short_cut_is_exact(R):
+    # the short-cut starts at (R - 1) * 2**-alpha <= 2**-54, about 54 + log2(R - 1);
+    # 4 below it the exact sum still exceeds 1.0, so an early short-cut fails here
+    threshold = 54.0 + math.log2(max(R - 1, 1))
+    near = [threshold + 0.01 * k for k in range(-400, 101)]
+    scan = [976.5625 * k for k in range(1025)]  # the fit's scan of alpha over [0, 1e6]
+    for alpha in near + scan:
+        assert harmonic(alpha, R) == math.fsum(r ** -alpha for r in range(R, 0, -1)), alpha
+
+
 def test_geom_norm_examples():
     assert geom_norm(0.5, 2) == pytest.approx(2 / 3, abs=1e-15)
     assert geom_norm(0.5, 1) == 1.0

@@ -127,6 +127,25 @@ def test_undersampling_trials_and_seed_must_be_whole(trials, seed):
         undersampling_probability(geometric1(0.5, 24), 30, trials=trials, seed=seed)
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, None])
+@pytest.mark.parametrize("name", ["trials", "seed"])
+def test_undersampling_non_numbers_are_value_errors(name, bad):
+    settings = {"trials": 4, "seed": 1, name: bad}
+    with pytest.raises(ValueError) as caught:
+        undersampling_probability(geometric1(0.5, 24), 30, **settings)
+    if bad is None or math.isinf(bad):  # int() raised TypeError or OverflowError; its text is kept
+        assert isinstance(caught.value.__cause__, (TypeError, OverflowError))
+        assert str(caught.value) == str(caught.value.__cause__)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, None])
+@pytest.mark.parametrize("name", ["trials", "seed"])
+def test_simulation_config_non_numbers_are_value_errors(name, bad):
+    settings = {"trials": 4, "seed": 1, name: bad}
+    with pytest.raises(ValueError):
+        SimulationConfig(sample_sizes=(30,), model=geometric1(0.5, 24), **settings)
+
+
 def test_recovery_trials_must_be_whole():
     with pytest.raises(ValueError, match="trials must be a whole number"):
         recovery_experiment(SimulationConfig(seed=1, trials=2.5, sample_sizes=(30,),
