@@ -36,10 +36,7 @@ from .estimation import (
     ALPHA_INTERVAL,
     Q_INTERVAL,
     FitResult,
-    ScalarOptimum,
     fit,
-    mle_q_untruncated,
-    optimize_scalar,
 )
 from .selection import (
     DEFAULT_ENSEMBLE,

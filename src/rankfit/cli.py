@@ -108,9 +108,8 @@ def cmd_fit(args) -> int:
     out = Path(args.out)
     _write_json(result.as_dict(), out)
     p = result.params
-    scalar = f"alpha={p.alpha!r}" if p.alpha is not None else f"q={p.q!r}"
-    print(f"{p.kind.value}: {scalar} R={p.R} N={p.N} loglik={result.loglik!r} "
-          f"converged={result.converged}")
+    print(f"{p.kind.value}: {p.kind.scalar_name}={p.scalar!r} R={p.R} N={p.N} "
+          f"loglik={result.loglik!r} converged={result.converged}")
     for note in result.warnings:
         print(f"note: {note}", file=sys.stderr)
     _write_manifest(Path(str(out) + ".manifest.json"), "fit", [args.input],

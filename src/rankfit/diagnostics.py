@@ -9,7 +9,7 @@ each scale and report the model-predicted slopes next to the fitted ones.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from pathlib import Path
 from typing import NamedTuple
@@ -78,16 +78,7 @@ class DiagnosticReport:
     margin: float
 
     def as_dict(self) -> dict:
-        return {
-            "linlog_slope": self.linlog_slope,
-            "linlog_r2": self.linlog_r2,
-            "loglog_slope": self.loglog_slope,
-            "loglog_r2": self.loglog_r2,
-            "geometric_slope_prediction": self.geometric_slope_prediction,
-            "zeta_slope_prediction": self.zeta_slope_prediction,
-            "verdict": self.verdict,
-            "margin": self.margin,
-        }
+        return asdict(self)
 
 
 def _transform(points, scale: Scale):

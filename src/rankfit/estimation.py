@@ -4,8 +4,10 @@ The free scalar of each kind is maximized over a fixed interval: alpha on
 [0, 1e6], q on [1e-9, 1 - 1e-9] (the open unit interval realized with an
 inset). 2-parameter kinds pin the truncation rank to R = r_max before the
 scalar search, since the log-likelihood is -inf below r_max and strictly
-decreasing above it. Each point of the scan and of the golden-section
-refinement evaluates the closed form in F0, F1 and FlogR
+decreasing above it. The search is fixed: a scan of 1025 equally spaced
+points (plus, for geometric kinds, the start q = 1/mean_rank) brackets the
+maximum, and golden-section search shrinks the bracket below 1e-9. Each
+point evaluates the closed form in F0, F1 and FlogR
 (models.scalar_log_likelihood); no model object is built per point. Zeta
 points past the short-cut threshold of models.harmonic (alpha >= about
 54 + log2(R - 1): all scan points but alpha = 0) cost O(1), not O(R).
@@ -14,7 +16,6 @@ points past the short-cut threshold of models.harmonic (alpha >= about
 from __future__ import annotations
 
 import math
-import warnings as _warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -22,30 +23,15 @@ from .histogram import RankHistogram, SummaryStats, summarize
 from .models import DEFAULT_DOMAIN_CEILING, ModelKind, ModelParams, scalar_log_likelihood
 from .models import log_likelihood  # noqa: F401  (bench/tracing.py counts calls through this name)
 
-__all__ = [
-    "ALPHA_INTERVAL",
-    "Q_INTERVAL",
-    "ScalarOptimum",
-    "FitResult",
-    "optimize_scalar",
-    "fit",
-    "mle_q_untruncated",
-]
+__all__ = ["ALPHA_INTERVAL", "Q_INTERVAL", "FitResult", "fit"]
 
 ALPHA_INTERVAL = (0.0, 1.0e6)
-Q_EPS = 1e-9
-Q_INTERVAL = (Q_EPS, 1.0 - Q_EPS)
+Q_INTERVAL = (1e-9, 1.0 - 1e-9)
 
+_SCAN_POINTS = 1025
+_TOL = 1e-9
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _FLAT_EPS = 1e-12
-
-
-@dataclass(frozen=True)
-class ScalarOptimum:
-    argmax: float
-    value: float
-    iterations: int
-    unique: bool = True
 
 
 @dataclass(frozen=True)
@@ -82,25 +68,15 @@ class FitResult:
         )
 
 
-def optimize_scalar(objective: Callable[[float], float], lo: float, hi: float,
-                    tol: float = 1e-9, *, init: float | None = None,
-                    scan_points: int = 1025) -> ScalarOptimum:
-    """Maximize a scalar function on [lo, hi].
+def _maximize(objective: Callable[[float], float], lo: float, hi: float,
+              init: float | None) -> tuple[float, float, int, bool]:
+    """Maximize objective on [lo, hi]: (argmax, value, evaluations, unique).
 
-    A coarse scan over ``scan_points`` equally spaced abscissas (1025 by
-    default; an optional ``init`` point is added) brackets the maximum;
-    golden-section search then shrinks the winning bracket below ``tol``.
-    Deterministic for a given objective. Raises on NaN objective values,
-    citing the offending abscissa. A flat scan (spread below 1e-12 of the
-    value scale) returns the interval midpoint flagged ``unique=False``.
+    The scan points (and init, if inside the interval) bracket the maximum;
+    golden-section search shrinks the winning bracket below _TOL. Raises on
+    a NaN objective value, citing the abscissa. A flat scan (spread below
+    _FLAT_EPS of the value scale) returns the interval midpoint, not unique.
     """
-    if not lo < hi:
-        raise ValueError("need lo < hi")
-    if not tol > 0:
-        raise ValueError("tol must be positive")
-    if scan_points < 3:
-        raise ValueError("scan_points must be >= 3")
-
     evals = 0
 
     def ev(x: float) -> float:
@@ -111,7 +87,7 @@ def optimize_scalar(objective: Callable[[float], float], lo: float, hi: float,
             raise ValueError(f"objective returned NaN at x={x!r}")
         return v
 
-    xs = [lo + (hi - lo) * k / (scan_points - 1) for k in range(scan_points)]
+    xs = [lo + (hi - lo) * k / (_SCAN_POINTS - 1) for k in range(_SCAN_POINTS)]
     xs[-1] = hi
     if init is not None and lo < init < hi:
         xs.append(init)
@@ -122,7 +98,7 @@ def optimize_scalar(objective: Callable[[float], float], lo: float, hi: float,
     vmin = min(values)
     if vmax - vmin <= _FLAT_EPS * max(1.0, abs(vmax)):
         mid = 0.5 * (lo + hi)
-        return ScalarOptimum(argmax=mid, value=ev(mid), iterations=evals, unique=False)
+        return mid, ev(mid), evals, False
 
     best = values.index(vmax)
     a = xs[best - 1] if best > 0 else xs[0]
@@ -133,7 +109,7 @@ def optimize_scalar(objective: Callable[[float], float], lo: float, hi: float,
     x2 = a + _GOLDEN * (b - a)
     f1 = ev(x1)
     f2 = ev(x2)
-    while b - a > tol:
+    while b - a > _TOL:
         if f1 >= f2:
             b = x2
             x2, f2 = x1, f1
@@ -145,43 +121,17 @@ def optimize_scalar(objective: Callable[[float], float], lo: float, hi: float,
             x2 = a + _GOLDEN * (b - a)
             f2 = ev(x2)
     x_best = 0.5 * (a + b)
-    return ScalarOptimum(argmax=x_best, value=ev(x_best), iterations=evals, unique=True)
-
-
-def mle_q_untruncated(s: SummaryStats) -> float:
-    """Closed-form q estimator 1/<r> of the untruncated geometric.
-
-    Used to seed the optimizer and as a sanity reference. Clamped into
-    [1e-9, 1 - 1e-9] with a warning when the boundary is hit (mean rank 1
-    means every observation sits at rank 1).
-    """
-    q = 1.0 / s.mean_rank
-    if q > Q_INTERVAL[1]:
-        _warnings.warn(
-            f"mean rank {s.mean_rank} pins q at the upper boundary; clamped to {Q_INTERVAL[1]}"
-        )
-        return Q_INTERVAL[1]
-    if q < Q_INTERVAL[0]:
-        _warnings.warn(
-            f"mean rank {s.mean_rank} pins q at the lower boundary; clamped to {Q_INTERVAL[0]}"
-        )
-        return Q_INTERVAL[0]
-    return q
-
-
-def _make_params(kind: ModelKind, scalar: float, R: int, N: int) -> ModelParams:
-    if kind.is_zeta:
-        return ModelParams(kind=kind, R=R, N=N, alpha=scalar)
-    return ModelParams(kind=kind, R=R, N=N, q=scalar)
+    return x_best, ev(x_best), evals, True
 
 
 def fit(kind: ModelKind | str, hist: RankHistogram | SummaryStats,
-        N: int = DEFAULT_DOMAIN_CEILING, tol: float = 1e-9) -> FitResult:
+        N: int = DEFAULT_DOMAIN_CEILING) -> FitResult:
     """Fit one ensemble member to a histogram, or its SummaryStats, by maximum likelihood.
 
     2-parameter kinds get R = r_max (any smaller R has zero likelihood,
     any larger strictly lowers it); 1-parameter kinds get R = N. The free
-    scalar is then maximized over its interval. The stats are all a fit
+    scalar is then maximized over its interval by the fixed scan and
+    golden-section search of the module docstring. The stats are all a fit
     reads, so ``select`` passes the ones it made and summarizes once.
 
     Rejects histograms with r_max > N. A single-rank histogram makes the
@@ -196,18 +146,17 @@ def fit(kind: ModelKind | str, hist: RankHistogram | SummaryStats,
 
     R = s.r_max if kind.n_params == 2 else N
     lo, hi = ALPHA_INTERVAL if kind.is_zeta else Q_INTERVAL
+    name = kind.scalar_name
 
     if kind.n_params == 2 and s.r_max == 1:
-        midpoint = 0.5 * (lo + hi)
-        scalar_name = "alpha" if kind.is_zeta else "q"
         return FitResult(
-            params=_make_params(kind, midpoint, R, N),
+            params=ModelParams(kind=kind, R=R, N=N, **{name: 0.5 * (lo + hi)}),
             loglik=0.0,
             n_params=kind.n_params,
             converged=False,
             iterations=0,
             warnings=(
-                f"degenerate fit: r_max=1 makes {scalar_name} unidentifiable "
+                f"degenerate fit: r_max=1 makes {name} unidentifiable "
                 f"(flat likelihood); returning the interval midpoint",
             ),
         )
@@ -215,19 +164,19 @@ def fit(kind: ModelKind | str, hist: RankHistogram | SummaryStats,
     notes: list[str] = []
     init = None
     if kind.is_geometric:
-        with _warnings.catch_warnings(record=True) as caught:
-            _warnings.simplefilter("always")
-            init = mle_q_untruncated(s)
-        notes.extend(str(w.message) for w in caught)
+        init = 1.0 / s.mean_rank  # the untruncated MLE; 1 when every draw sits at rank 1
+        if init > hi:
+            notes.append(f"mean rank {s.mean_rank} pins q at the upper boundary; clamped to {hi}")
+            init = hi
 
-    opt = optimize_scalar(scalar_log_likelihood(kind, R, s), lo, hi, tol=tol, init=init)
-    if not opt.unique:
+    argmax, value, evals, unique = _maximize(scalar_log_likelihood(kind, R, s), lo, hi, init)
+    if not unique:
         notes.append("flat log-likelihood over the search interval; optimum is not unique")
     return FitResult(
-        params=_make_params(kind, opt.argmax, R, N),
-        loglik=opt.value,
+        params=ModelParams(kind=kind, R=R, N=N, **{name: argmax}),
+        loglik=value,
         n_params=kind.n_params,
-        converged=opt.unique,
-        iterations=opt.iterations,
+        converged=unique,
+        iterations=evals,
         warnings=tuple(notes),
     )

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from ._io import number, tsv
 
@@ -119,13 +119,7 @@ class SummaryStats:
             raise ValueError("FlogR must be >= 0 and zero iff r_max == 1")
 
     def as_dict(self) -> dict:
-        return {
-            "F0": self.F0,
-            "F1": self.F1,
-            "FlogR": self.FlogR,
-            "mean_rank": self.mean_rank,
-            "r_max": self.r_max,
-        }
+        return asdict(self)
 
 
 def parse_dataset(text: str, *, delimiter: str = "\t", label: str = "",

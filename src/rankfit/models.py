@@ -61,6 +61,11 @@ class ModelKind(str, Enum):
     def is_geometric(self) -> bool:
         return self in (ModelKind.GEOMETRIC1, ModelKind.GEOMETRIC2)
 
+    @property
+    def scalar_name(self) -> str:
+        """Name of the free scalar: "alpha" for zeta kinds, "q" for geometric kinds."""
+        return "alpha" if self.is_zeta else "q"
+
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -98,8 +103,8 @@ class ModelParams:
 
     @property
     def scalar(self) -> float:
-        """The free scalar: alpha for zeta kinds, q for geometric kinds."""
-        return self.alpha if self.kind.is_zeta else self.q
+        """The free scalar, named by kind.scalar_name."""
+        return getattr(self, self.kind.scalar_name)
 
     def as_dict(self) -> dict:
         d = {"kind": self.kind.value, "R": self.R, "N": self.N}

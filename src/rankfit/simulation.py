@@ -47,8 +47,7 @@ class SimulationConfig:
     model: ModelParams
 
     def __post_init__(self):
-        if not (isinstance(self.seed, int) and 0 <= self.seed < 2 ** 64):
-            raise ValueError("seed must be a 64-bit unsigned integer")
+        object.__setattr__(self, "seed", _whole(self.seed, "seed", 0, 2 ** 64))
         object.__setattr__(self, "trials", _whole(self.trials, "trials", 1, 2 ** 63))
         if not self.sample_sizes:
             raise ValueError("sample sizes must not be empty")

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,41 +15,35 @@ from rankfit import (
     fit,
     geometric1,
     log_likelihood,
-    mle_q_untruncated,
-    optimize_scalar,
     select,
     summarize,
     zeta2,
     geometric2,
 )
+from rankfit.estimation import _maximize
 from _oracles import ZetaGridOracle, grid_mle_q, random_histogram, stats_of
 
 
-# ------------------------------------------------------------ optimize_scalar
+# ------------------------------------------------------------------ _maximize
 
 def test_optimizer_finds_parabola_maximum():
-    opt = optimize_scalar(lambda x: -(x - 0.25) ** 2, 0.0, 1.0, tol=1e-9)
-    assert abs(opt.argmax - 0.25) <= 1e-9
-    assert opt.unique
+    argmax, _, _, unique = _maximize(lambda x: -(x - 0.25) ** 2, 0.0, 1.0, None)
+    assert abs(argmax - 0.25) <= 1e-9
+    assert unique
 
 
 def test_optimizer_flags_flat_objective():
-    opt = optimize_scalar(lambda x: 3.0, 0.0, 1.0)
-    assert not opt.unique
-    assert opt.argmax == 0.5
-    assert opt.value == 3.0
+    argmax, value, _, unique = _maximize(lambda x: 3.0, 0.0, 1.0, None)
+    assert not unique
+    assert argmax == 0.5
+    assert value == 3.0
 
 
 def test_optimizer_rejects_nan():
     def objective(x):
         return float("nan") if x > 0.7 else -x
     with pytest.raises(ValueError, match="NaN"):
-        optimize_scalar(objective, 0.0, 1.0)
-
-
-def test_optimizer_rejects_bad_interval():
-    with pytest.raises(ValueError):
-        optimize_scalar(lambda x: x, 1.0, 0.0)
+        _maximize(objective, 0.0, 1.0, None)
 
 
 def test_optimizer_matches_grid_oracle_on_geometric_objective():
@@ -59,12 +54,12 @@ def test_optimizer_matches_grid_oracle_on_geometric_objective():
     def objective(q):
         return log_likelihood(geometric2(q, r_max), s)
 
-    opt = optimize_scalar(objective, *Q_INTERVAL, tol=1e-9)
+    argmax, value, _, _ = _maximize(objective, *Q_INTERVAL, None)
     q_star, ll_star = grid_mle_q(F0, F1, r_max)
-    assert abs(opt.argmax - q_star) <= 1e-6
-    assert abs(opt.value - ll_star) <= 1e-8
+    assert abs(argmax - q_star) <= 1e-6
+    assert abs(value - ll_star) <= 1e-8
     # moment matching makes the optimum exactly 1/2 for these frequencies
-    assert abs(opt.argmax - 0.5) <= 1e-6
+    assert abs(argmax - 0.5) <= 1e-6
 
 
 def test_optimizer_deterministic():
@@ -74,9 +69,7 @@ def test_optimizer_deterministic():
     def objective(q):
         return log_likelihood(geometric2(q, s.r_max), s)
 
-    a = optimize_scalar(objective, *Q_INTERVAL)
-    b = optimize_scalar(objective, *Q_INTERVAL)
-    assert (a.argmax, a.value, a.iterations) == (b.argmax, b.value, b.iterations)
+    assert _maximize(objective, *Q_INTERVAL, None) == _maximize(objective, *Q_INTERVAL, None)
 
 
 # ------------------------------------------------------------------------ fit
@@ -170,6 +163,15 @@ def test_select_summarizes_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_fit_clamps_the_geometric_start_at_the_boundary_with_a_note():
+    h = RankHistogram.from_frequencies([7.0])  # every draw at rank 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = fit("geometric1", h)
+    assert result.warnings == (
+        "mean rank 1.0 pins q at the upper boundary; clamped to 0.999999999",)
+
+
 def test_fit_rejects_r_max_beyond_ceiling():
     h = RankHistogram.from_frequencies(list(range(25, 0, -1)))
     with pytest.raises(ValueError, match="ceiling"):
@@ -180,22 +182,6 @@ def test_fit_result_json_round_trip():
     h = RankHistogram.from_frequencies([9, 5, 2])
     result = fit(ModelKind.GEOMETRIC2, h)
     assert FitResult.from_dict(result.as_dict()) == result
-
-
-# --------------------------------------------------------- mle_q_untruncated
-
-def test_mle_q_examples():
-    s = summarize(RankHistogram.from_frequencies([1, 1, 1]))  # mean rank exactly 2
-    assert mle_q_untruncated(s) == 0.5
-    s2 = summarize(RankHistogram.from_frequencies([8, 4, 2, 1]))
-    assert mle_q_untruncated(s2) == pytest.approx(15 / 26, abs=1e-15)
-
-
-def test_mle_q_clamps_at_boundary_with_warning():
-    s = summarize(RankHistogram.from_frequencies([7]))  # every draw at rank 1
-    with pytest.warns(UserWarning, match="clamped"):
-        q = mle_q_untruncated(s)
-    assert q == Q_INTERVAL[1]
 
 
 # ------------------------------------------------------------------ theorems

@@ -154,6 +154,14 @@ def test_recovery_trials_must_be_whole():
     assert type(cfg.trials) is int and cfg.as_dict()["trials"] == 2
 
 
+@pytest.mark.parametrize("seed", [7.0, np.int64(7)])
+def test_simulation_config_seed_is_stored_as_int(seed):
+    cfg = SimulationConfig(seed=seed, trials=1, sample_sizes=(30,), model=geometric1(0.5, 24))
+    assert cfg.seed == 7 and type(cfg.seed) is int
+    with pytest.raises(ValueError, match="seed must be a whole number"):
+        SimulationConfig(seed=7.5, trials=1, sample_sizes=(30,), model=geometric1(0.5, 24))
+
+
 def test_simulation_config_validation():
     m = geometric1(0.4, 24)
     with pytest.raises(ValueError):
