@@ -11,6 +11,12 @@ point evaluates the closed form in F0, F1 and FlogR
 (models.scalar_log_likelihood); no model object is built per point. Zeta
 points past the short-cut threshold of models.harmonic (alpha >= about
 54 + log2(R - 1): all scan points but alpha = 0) cost O(1), not O(R).
+
+Two rules cover the edge cases. At R = 1 the likelihood is flat, and the
+fit is unconverged at the interval midpoint. Otherwise the log-likelihood
+is concave in the natural parameter (alpha, or -log(1-q)), so unimodal in
+the scalar, and an interval end that scores at least as well as the refined
+point is the maximum; it is returned exactly, with a "boundary:" warning.
 """
 
 from __future__ import annotations
@@ -31,7 +37,6 @@ Q_INTERVAL = (1e-9, 1.0 - 1e-9)
 _SCAN_POINTS = 1025
 _TOL = 1e-9
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-_FLAT_EPS = 1e-12
 
 
 @dataclass(frozen=True)
@@ -69,13 +74,13 @@ class FitResult:
 
 
 def _maximize(objective: Callable[[float], float], lo: float, hi: float,
-              init: float | None) -> tuple[float, float, int, bool]:
-    """Maximize objective on [lo, hi]: (argmax, value, evaluations, unique).
+              init: float | None) -> tuple[float, float, int]:
+    """Maximize a unimodal objective on [lo, hi]: (argmax, value, evaluations).
 
     The scan points (and init, if inside the interval) bracket the maximum;
-    golden-section search shrinks the winning bracket below _TOL. Raises on
-    a NaN objective value, citing the abscissa. A flat scan (spread below
-    _FLAT_EPS of the value scale) returns the interval midpoint, not unique.
+    golden-section search shrinks the winning bracket below _TOL. If the
+    scan's value at lo or hi is >= the refined value, that end is returned
+    exactly. Raises on a NaN objective value, citing the abscissa.
     """
     evals = 0
 
@@ -94,13 +99,7 @@ def _maximize(objective: Callable[[float], float], lo: float, hi: float,
         xs.sort()
     values = [ev(x) for x in xs]
 
-    vmax = max(values)
-    vmin = min(values)
-    if vmax - vmin <= _FLAT_EPS * max(1.0, abs(vmax)):
-        mid = 0.5 * (lo + hi)
-        return mid, ev(mid), evals, False
-
-    best = values.index(vmax)
+    best = values.index(max(values))
     a = xs[best - 1] if best > 0 else xs[0]
     b = xs[best + 1] if best + 1 < len(xs) else xs[-1]
 
@@ -121,7 +120,11 @@ def _maximize(objective: Callable[[float], float], lo: float, hi: float,
             x2 = a + _GOLDEN * (b - a)
             f2 = ev(x2)
     x_best = 0.5 * (a + b)
-    return x_best, ev(x_best), evals, True
+    v_best = ev(x_best)
+    for x, v in ((lo, values[0]), (hi, values[-1])):
+        if v >= v_best:
+            return x, v, evals
+    return x_best, v_best, evals
 
 
 def fit(kind: ModelKind | str, hist: RankHistogram | SummaryStats,
@@ -134,10 +137,11 @@ def fit(kind: ModelKind | str, hist: RankHistogram | SummaryStats,
     golden-section search of the module docstring. The stats are all a fit
     reads, so ``select`` passes the ones it made and summarizes once.
 
-    Rejects histograms with r_max > N. A single-rank histogram makes the
-    scalar of a 2-parameter kind unidentifiable (pmf is the point mass at
-    rank 1 regardless); such fits return the interval midpoint with
-    ``converged=False`` and a degeneracy warning.
+    Rejects histograms with r_max > N. At R = 1 (a single-rank histogram
+    under a 2-parameter kind, or N = 1) the pmf is the point mass at rank 1
+    whatever the scalar, so the fit returns the interval midpoint with
+    ``converged=False`` and an "unidentifiable" warning; every other fit is
+    converged. An optimum at an interval end carries a "boundary:" warning.
     """
     kind = ModelKind(kind)
     s = hist if isinstance(hist, SummaryStats) else summarize(hist)
@@ -148,35 +152,22 @@ def fit(kind: ModelKind | str, hist: RankHistogram | SummaryStats,
     lo, hi = ALPHA_INTERVAL if kind.is_zeta else Q_INTERVAL
     name = kind.scalar_name
 
-    if kind.n_params == 2 and s.r_max == 1:
-        return FitResult(
-            params=ModelParams(kind=kind, R=R, N=N, **{name: 0.5 * (lo + hi)}),
-            loglik=0.0,
-            n_params=kind.n_params,
-            converged=False,
-            iterations=0,
-            warnings=(
-                f"degenerate fit: r_max=1 makes {name} unidentifiable "
-                f"(flat likelihood); returning the interval midpoint",
-            ),
-        )
-
-    notes: list[str] = []
-    init = None
-    if kind.is_geometric:
-        init = 1.0 / s.mean_rank  # the untruncated MLE; 1 when every draw sits at rank 1
-        if init > hi:
-            notes.append(f"mean rank {s.mean_rank} pins q at the upper boundary; clamped to {hi}")
-            init = hi
-
-    argmax, value, evals, unique = _maximize(scalar_log_likelihood(kind, R, s), lo, hi, init)
-    if not unique:
-        notes.append("flat log-likelihood over the search interval; optimum is not unique")
+    if R == 1:  # every scalar gives the point mass at rank 1
+        argmax, value, evals = 0.5 * (lo + hi), 0.0, 0
+        notes = (f"degenerate fit: r_max=1 makes {name} unidentifiable "
+                 f"(flat likelihood); returning the interval midpoint",)
+    else:
+        # the untruncated geometric MLE; 1, outside the interval, on one-rank data
+        init = 1.0 / s.mean_rank if kind.is_geometric else None
+        argmax, value, evals = _maximize(scalar_log_likelihood(kind, R, s), lo, hi, init)
+        notes = ()
+        if argmax in (lo, hi):
+            notes = (f"boundary: optimum at the end {name}={argmax!r} of [{lo!r}, {hi!r}]",)
     return FitResult(
         params=ModelParams(kind=kind, R=R, N=N, **{name: argmax}),
         loglik=value,
         n_params=kind.n_params,
-        converged=unique,
+        converged=R > 1,
         iterations=evals,
-        warnings=tuple(notes),
+        warnings=notes,
     )

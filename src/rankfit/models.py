@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from itertools import repeat
 from typing import Callable
 
@@ -106,6 +107,11 @@ class ModelParams:
         """The free scalar, named by kind.scalar_name."""
         return getattr(self, self.kind.scalar_name)
 
+    @cached_property
+    def _norm(self) -> float:
+        """Normalizer, once per model: pmf divides by H(alpha, R) or multiplies by c(q, R)."""
+        return harmonic(self.alpha, self.R) if self.kind.is_zeta else geom_norm(self.q, self.R)
+
     def as_dict(self) -> dict:
         d = {"kind": self.kind.value, "R": self.R, "N": self.N}
         if self.alpha is not None:
@@ -173,8 +179,8 @@ def pmf(m: ModelParams, r: int) -> float:
     if r < 1 or r > m.R:
         return 0.0
     if m.kind.is_zeta:
-        return r ** -m.alpha / harmonic(m.alpha, m.R)
-    return geom_norm(m.q, m.R) * (1.0 - m.q) ** (r - 1)
+        return r ** -m.alpha / m._norm
+    return m._norm * (1.0 - m.q) ** (r - 1)
 
 
 def log_likelihood(m: ModelParams, s: SummaryStats) -> float:

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -18,9 +19,13 @@ from rankfit import (
     sample,
     slope_fit,
     transform_series,
+    zeta1,
     zeta2,
 )
 from rankfit.diagnostics import PlotSeries
+from rankfit.models import harmonic
+
+DEMO = Path(__file__).resolve().parent.parent / "data" / "demo_synthetic.tsv"
 
 
 def exact_histogram(model, F0):
@@ -46,6 +51,20 @@ def test_transform_consistency():
     for (x0, y0), (x1, y1) in zip(normal.points, linlog.points):
         assert x0 == x1
         assert math.exp(y1) == pytest.approx(y0, rel=1e-12)
+
+
+def test_expected_series_normalizes_once(monkeypatch):
+    calls = []
+
+    def counting(alpha, R):
+        calls.append((alpha, R))
+        return harmonic(alpha, R)
+
+    monkeypatch.setattr("rankfit.models.harmonic", counting)
+    series = expected_series(zeta1(1.0, 500), 100.0, "normal")
+    assert len(calls) <= 1
+    assert len(series.points) == 500
+    assert series.points[1] == (2.0, 100.0 * (2 ** -1.0 / harmonic(1.0, 500)))
 
 
 def test_slope_fit_exact_geometric_line():
@@ -113,6 +132,13 @@ def test_diagnose_exact_zeta_data():
     assert report.verdict == "power-law-like"
     assert report.loglog_r2 == pytest.approx(1.0, abs=1e-12)
     assert report.zeta_slope_prediction == pytest.approx(-1.4, abs=1e-6)
+
+
+def test_diagnose_inconclusive_within_the_margin():
+    h = parse_dataset(DEMO.read_text(encoding="utf-8"))
+    report = diagnose(h, [fit(k, h) for k in ModelKind], margin=1.0)
+    assert report.verdict == "inconclusive"
+    assert report.margin == 1.0
 
 
 def test_diagnose_needs_both_families():

@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -27,16 +26,16 @@ from _oracles import ZetaGridOracle, grid_mle_q, random_histogram, stats_of
 # ------------------------------------------------------------------ _maximize
 
 def test_optimizer_finds_parabola_maximum():
-    argmax, _, _, unique = _maximize(lambda x: -(x - 0.25) ** 2, 0.0, 1.0, None)
+    argmax, _, _ = _maximize(lambda x: -(x - 0.25) ** 2, 0.0, 1.0, None)
     assert abs(argmax - 0.25) <= 1e-9
-    assert unique
 
 
-def test_optimizer_flags_flat_objective():
-    argmax, value, _, unique = _maximize(lambda x: 3.0, 0.0, 1.0, None)
-    assert not unique
-    assert argmax == 0.5
-    assert value == 3.0
+@pytest.mark.parametrize("lo, hi", [(0.0, 1.0), ALPHA_INTERVAL, Q_INTERVAL])
+@pytest.mark.parametrize("init", [None, 0.3])
+def test_optimizer_returns_the_interval_end_of_a_monotone_objective(lo, hi, init):
+    assert _maximize(lambda x: x, lo, hi, init)[:2] == (hi, hi)
+    assert _maximize(lambda x: -x, lo, hi, init)[:2] == (lo, -lo)
+    assert _maximize(lambda x: -math.exp(-x), lo, hi, init)[0] == hi
 
 
 def test_optimizer_rejects_nan():
@@ -54,7 +53,7 @@ def test_optimizer_matches_grid_oracle_on_geometric_objective():
     def objective(q):
         return log_likelihood(geometric2(q, r_max), s)
 
-    argmax, value, _, _ = _maximize(objective, *Q_INTERVAL, None)
+    argmax, value, _ = _maximize(objective, *Q_INTERVAL, None)
     q_star, ll_star = grid_mle_q(F0, F1, r_max)
     assert abs(argmax - q_star) <= 1e-6
     assert abs(value - ll_star) <= 1e-8
@@ -163,13 +162,41 @@ def test_select_summarizes_once(monkeypatch):
     assert len(calls) == 1
 
 
-def test_fit_clamps_the_geometric_start_at_the_boundary_with_a_note():
-    h = RankHistogram.from_frequencies([7.0])  # every draw at rank 1
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        result = fit("geometric1", h)
-    assert result.warnings == (
-        "mean rank 1.0 pins q at the upper boundary; clamped to 0.999999999",)
+@pytest.mark.parametrize("freqs, kind, end", [
+    ([7.0] * 24, "zeta1", ALPHA_INTERVAL[0]),  # uniform data: alpha = 0, q -> 0
+    ([7.0] * 24, "zeta2", ALPHA_INTERVAL[0]),
+    ([7.0] * 24, "geometric1", Q_INTERVAL[0]),
+    ([7.0] * 24, "geometric2", Q_INTERVAL[0]),
+    ([7.0], "zeta1", ALPHA_INTERVAL[1]),  # every draw at rank 1 of 24: alpha -> inf, q -> 1
+    ([7.0], "geometric1", Q_INTERVAL[1]),
+], ids=["uniform-zeta1", "uniform-zeta2", "uniform-geometric1", "uniform-geometric2",
+        "one-rank-zeta1", "one-rank-geometric1"])
+def test_fit_reports_an_interval_end_as_a_boundary_optimum(freqs, kind, end):
+    result = fit(kind, RankHistogram.from_frequencies(freqs), N=24)
+    assert result.params.scalar == end
+    assert result.converged
+    assert len(result.warnings) == 1
+    assert result.warnings[0].startswith("boundary:")
+    assert result.iterations > 1000
+
+
+@pytest.mark.parametrize("kind", list(ModelKind))
+def test_fit_at_N_1_is_the_degenerate_result(kind):
+    lo, hi = ALPHA_INTERVAL if kind.is_zeta else Q_INTERVAL
+    result = fit(kind, RankHistogram.from_frequencies([7.0]), N=1)
+    assert result.params.scalar == 0.5 * (lo + hi)
+    assert result.params.R == 1
+    assert (result.loglik, result.converged, result.iterations) == (0.0, False, 0)
+    assert len(result.warnings) == 1 and "unidentifiable" in result.warnings[0]
+
+
+@pytest.mark.parametrize("kind", list(ModelKind))
+def test_interior_fit_carries_no_warning(kind):
+    result = fit(kind, RankHistogram.from_frequencies([40, 22, 13, 9, 5, 3, 2, 1]))
+    lo, hi = ALPHA_INTERVAL if result.params.kind.is_zeta else Q_INTERVAL
+    assert lo < result.params.scalar < hi
+    assert result.converged
+    assert result.warnings == ()
 
 
 def test_fit_rejects_r_max_beyond_ceiling():

@@ -15,6 +15,7 @@ from rankfit import (
     recovery_experiment,
     sample,
     sample_counts,
+    select,
     undersampling_probability,
     zeta2,
 )
@@ -188,6 +189,23 @@ def test_recovery_requires_true_kind_in_ensemble():
                            model=geometric1(0.4, 24))
     with pytest.raises(ValueError, match="true model kind"):
         recovery_experiment(cfg, ensemble=(ModelKind.ZETA1,))
+
+
+@pytest.mark.parametrize("model, size, select_raises", [
+    (geometric1(0.4), 1, True),  # BIC needs F0 > 1, so no row can be scored
+    (zeta2(1.0, 10), 3, False),  # AICc needs F0 > K + 1: the true kind's row has no fit
+])
+def test_recovery_counts_failed_trials(model, size, select_raises):
+    if select_raises:
+        with pytest.raises(ValueError):
+            select(sample(model, size, seed=0))
+    else:
+        assert select(sample(model, size, seed=0)).row(model.kind).fit is None
+    cfg = SimulationConfig(seed=11, trials=5, sample_sizes=(size,), model=model)
+    (row,) = recovery_experiment(cfg).per_size
+    assert row.failures == 5
+    assert (row.median_abs_param_error, row.aicc_true_fraction, row.bic_true_fraction,
+            row.undersampled_fraction) == (None, None, None, None)
 
 
 def test_recovery_bic_fraction_trend():
