@@ -12,7 +12,6 @@ from .histogram import (
     ParseError,
     RankHistogram,
     SummaryStats,
-    moment,
     parse_dataset,
     summarize,
 )

@@ -18,7 +18,7 @@ from ._io import json_text, read_json_object, read_text, tsv, write_text
 from .diagnostics import DEFAULT_R2_MARGIN, diagnose, emit_plot_data
 from .estimation import FitResult, fit
 from .histogram import RankHistogram, parse_dataset, summarize
-from .models import DEFAULT_DOMAIN_CEILING, ModelKind, ModelParams
+from .models import DEFAULT_DOMAIN_CEILING, ModelKind, ModelParams, _whole
 from .selection import (
     DEFAULT_ENSEMBLE,
     best_params_dict,
@@ -28,7 +28,7 @@ from .selection import (
     selection_table_dict,
     selection_table_tsv,
 )
-from .simulation import (SimulationConfig, _draw_count, _whole, recovery_experiment,
+from .simulation import (SimulationConfig, _draw_count, recovery_experiment,
                          undersampling_probability)
 
 DEFAULT_SEED = 12345
@@ -108,7 +108,7 @@ def cmd_fit(args) -> int:
     out = Path(args.out)
     _write_json(result.as_dict(), out)
     p = result.params
-    print(f"{p.kind.value}: {p.kind.scalar_name}={p.scalar!r} R={p.R} N={p.N} "
+    print(f"{p.kind.value}: {p.kind.family.scalar_name}={p.scalar!r} R={p.R} N={p.N} "
           f"loglik={result.loglik!r} converged={result.converged}")
     for note in result.warnings:
         print(f"note: {note}", file=sys.stderr)
@@ -142,7 +142,8 @@ def cmd_select(args) -> int:
 
 def cmd_diagnose(args) -> int:
     hist = _parse_input(args)
-    fits = [fit(k, hist, N=args.N) for k in _ensemble(args.ensemble)]
+    s = summarize(hist)
+    fits = [fit(k, s, N=args.N) for k in _ensemble(args.ensemble)]
     report = diagnose(hist, fits, margin=args.margin)
     out_dir = Path(args.out_dir)
     files = emit_plot_data(hist, fits, out_dir)
@@ -314,7 +315,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, MemoryError) as exc:
         _die(str(exc))
 
 

@@ -7,8 +7,8 @@ scalar search, since the log-likelihood is -inf below r_max and strictly
 decreasing above it. The search is fixed: a scan of 1025 equally spaced
 points (plus, for geometric kinds, the start q = 1/mean_rank) brackets the
 maximum, and golden-section search shrinks the bracket below 1e-9. Each
-point evaluates the closed form in F0, F1 and FlogR
-(models.scalar_log_likelihood); no model object is built per point. Zeta
+point evaluates the closed form in F0, F1 and FlogR (the family's
+objective in models); no model object is built per point. Zeta
 points past the short-cut threshold of models.harmonic (alpha >= about
 54 + log2(R - 1): all scan points but alpha = 0) cost O(1), not O(R).
 
@@ -26,13 +26,10 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .histogram import RankHistogram, SummaryStats, summarize
-from .models import DEFAULT_DOMAIN_CEILING, ModelKind, ModelParams, scalar_log_likelihood
+from .models import ALPHA_INTERVAL, DEFAULT_DOMAIN_CEILING, Q_INTERVAL, ModelKind, ModelParams
 from .models import log_likelihood  # noqa: F401  (bench/tracing.py counts calls through this name)
 
 __all__ = ["ALPHA_INTERVAL", "Q_INTERVAL", "FitResult", "fit"]
-
-ALPHA_INTERVAL = (0.0, 1.0e6)
-Q_INTERVAL = (1e-9, 1.0 - 1e-9)
 
 _SCAN_POINTS = 1025
 _TOL = 1e-9
@@ -144,22 +141,21 @@ def fit(kind: ModelKind | str, hist: RankHistogram | SummaryStats,
     converged. An optimum at an interval end carries a "boundary:" warning.
     """
     kind = ModelKind(kind)
+    family = kind.family
     s = hist if isinstance(hist, SummaryStats) else summarize(hist)
     if s.r_max > N:
         raise ValueError(f"dataset attests r_max={s.r_max} ranks, beyond the domain ceiling N={N}")
 
     R = s.r_max if kind.n_params == 2 else N
-    lo, hi = ALPHA_INTERVAL if kind.is_zeta else Q_INTERVAL
-    name = kind.scalar_name
+    lo, hi = family.interval
+    name = family.scalar_name
 
     if R == 1:  # every scalar gives the point mass at rank 1
         argmax, value, evals = 0.5 * (lo + hi), 0.0, 0
         notes = (f"degenerate fit: r_max=1 makes {name} unidentifiable "
                  f"(flat likelihood); returning the interval midpoint",)
     else:
-        # the untruncated geometric MLE; 1, outside the interval, on one-rank data
-        init = 1.0 / s.mean_rank if kind.is_geometric else None
-        argmax, value, evals = _maximize(scalar_log_likelihood(kind, R, s), lo, hi, init)
+        argmax, value, evals = _maximize(family.objective(s, R), lo, hi, family.start(s))
         notes = ()
         if argmax in (lo, hi):
             notes = (f"boundary: optimum at the end {name}={argmax!r} of [{lo!r}, {hi!r}]",)

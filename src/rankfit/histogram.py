@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field
 
-from ._io import number, tsv
+from ._io import number
 
 __all__ = [
     "ParseError",
@@ -13,11 +13,7 @@ __all__ = [
     "SummaryStats",
     "parse_dataset",
     "summarize",
-    "moment",
-    "CANONICAL_HEADER",
 ]
-
-CANONICAL_HEADER = "label\tfrequency"
 
 
 class ParseError(ValueError):
@@ -82,17 +78,6 @@ class RankHistogram:
     def frequencies(self) -> tuple[float, ...]:
         return tuple(f for _, f in self.entries)
 
-    def frequency(self, rank: int) -> float:
-        """f(rank); zero for ranks outside the attested range."""
-        if 1 <= rank <= self.r_max:
-            return self.entries[rank - 1][1]
-        return 0.0
-
-    def to_tsv(self) -> str:
-        """Canonical persisted form: header line, then name<TAB>frequency."""
-        return tsv(CANONICAL_HEADER.split("\t"),
-                   zip(self.names, map(number, self.frequencies)))
-
 
 @dataclass(frozen=True)
 class SummaryStats:
@@ -132,8 +117,7 @@ def parse_dataset(text: str, *, delimiter: str = "\t", label: str = "",
 
     ``header`` controls the first non-blank line: True skips it, False
     parses it as data, "auto" (default) skips it only when its frequency
-    field is non-numeric (which covers the canonical ``label\\tfrequency``
-    header).
+    field is non-numeric (which covers a ``label\\tfrequency`` header).
     """
     if header not in (True, False, "auto"):
         raise ValueError("header must be True, False or 'auto'")
@@ -204,8 +188,3 @@ def summarize(hist: RankHistogram) -> SummaryStats:
     F1 = math.fsum(f * r for r, f in hist.entries)
     FlogR = math.fsum(f * math.log(r) for r, f in hist.entries)
     return SummaryStats(F0=F0, F1=F1, FlogR=FlogR, mean_rank=F1 / F0, r_max=hist.r_max)
-
-
-def moment(hist: RankHistogram, x: float) -> float:
-    """Frequency-weighted rank moment: sum of f(r) * r**x over all ranks."""
-    return math.fsum(f * r ** x for r, f in hist.entries)

@@ -10,6 +10,9 @@ rank R; the 1-parameter kinds pin R to the domain ceiling N:
 
 with H the generalized harmonic number and c(q, R) = q / (1 - (1-q)**R).
 All logarithms are natural; log-likelihoods are in nats.
+
+Both are one-parameter exponential families on ranks 1..R; what separates
+them is stated once, in the record that ModelKind.family returns.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import repeat
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .histogram import SummaryStats
 
@@ -32,7 +35,6 @@ __all__ = [
     "geom_norm",
     "pmf",
     "log_likelihood",
-    "scalar_log_likelihood",
     "expected_frequency",
     "to_exponential_form",
     "zeta1",
@@ -42,6 +44,9 @@ __all__ = [
 ]
 
 DEFAULT_DOMAIN_CEILING = 24
+
+ALPHA_INTERVAL = (0.0, 1.0e6)
+Q_INTERVAL = (1e-9, 1.0 - 1e-9)
 
 
 class ModelKind(str, Enum):
@@ -62,10 +67,10 @@ class ModelKind(str, Enum):
     def is_geometric(self) -> bool:
         return self in (ModelKind.GEOMETRIC1, ModelKind.GEOMETRIC2)
 
-    @property
-    def scalar_name(self) -> str:
-        """Name of the free scalar: "alpha" for zeta kinds, "q" for geometric kinds."""
-        return "alpha" if self.is_zeta else "q"
+    @cached_property
+    def family(self) -> "_Family":
+        """The family record of this kind, resolved once per kind."""
+        return _ZETA if self.is_zeta else _GEOMETRIC
 
 
 @dataclass(frozen=True)
@@ -102,15 +107,15 @@ class ModelParams:
             if self.q is None or not 0.0 < self.q < 1.0:
                 raise ValueError("q must lie in the open interval (0, 1)")
 
-    @property
+    @cached_property
     def scalar(self) -> float:
-        """The free scalar, named by kind.scalar_name."""
-        return getattr(self, self.kind.scalar_name)
+        """The free scalar, named by kind.family.scalar_name."""
+        return getattr(self, self.kind.family.scalar_name)
 
     @cached_property
     def _norm(self) -> float:
-        """Normalizer, once per model: pmf divides by H(alpha, R) or multiplies by c(q, R)."""
-        return harmonic(self.alpha, self.R) if self.kind.is_zeta else geom_norm(self.q, self.R)
+        """Normalizer, once per model: H(alpha, R) or c(q, R)."""
+        return self.kind.family.norm(self.scalar, self.R)
 
     def as_dict(self) -> dict:
         d = {"kind": self.kind.value, "R": self.R, "N": self.N}
@@ -122,8 +127,19 @@ class ModelParams:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelParams":
-        return cls(kind=ModelKind(d["kind"]), R=int(d["R"]), N=int(d["N"]),
-                   alpha=d.get("alpha"), q=d.get("q"))
+        return cls(kind=ModelKind(d["kind"]), R=_whole(d["R"], "R", 1, 2 ** 63),
+                   N=_whole(d["N"], "N", 1, 2 ** 63), alpha=d.get("alpha"), q=d.get("q"))
+
+
+def _whole(value, name: str, lo: int, hi: int) -> int:
+    """value as an int; ValueError unless it is a whole number in [lo, hi)."""
+    try:
+        whole = int(value)  # inf, nan and None fail here, named by Python's own message
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(str(exc)) from exc
+    if whole != value or not lo <= whole < hi:
+        raise ValueError(f"{name} must be a whole number from {lo} to {hi - 1}, got {value!r}")
+    return whole
 
 
 def zeta1(alpha: float, N: int = DEFAULT_DOMAIN_CEILING) -> ModelParams:
@@ -174,13 +190,54 @@ def geom_norm(q: float, R: int) -> float:
     return q / -math.expm1(R * math.log1p(-q))
 
 
+class _Family(NamedTuple):
+    """One family: its scalar's name and search interval, the normalizer
+    norm(scalar, R), the pmf p(scalar, norm, r) at an int rank or a numpy float
+    array of ranks, the closed-form log-likelihood objective(stats, R)(scalar)
+    on 1..R for r_max <= R, and the start(stats) the optimizer's scan adds, or None."""
+
+    scalar_name: str
+    interval: tuple[float, float]
+    norm: Callable[[float, int], float]
+    p: Callable
+    objective: Callable[[SummaryStats, int], Callable[[float], float]]
+    start: Callable[[SummaryStats], float | None]
+
+
+def _zeta_objective(s: SummaryStats, R: int) -> Callable[[float], float]:
+    """alpha -> -alpha * FlogR - F0 * log H(alpha, R)"""
+    F0, FlogR = s.F0, s.FlogR
+    return lambda alpha: -alpha * FlogR - F0 * math.log(harmonic(alpha, R))
+
+
+def _geometric_objective(s: SummaryStats, R: int) -> Callable[[float], float]:
+    """q -> F0 * log c(q, R) + (F1 - F0) * log(1 - q)"""
+    F0, tail = s.F0, s.F1 - s.F0
+    return lambda q: F0 * math.log(geom_norm(q, R)) + tail * math.log1p(-q)
+
+
+# norm reaches harmonic and geom_norm through the module globals at call
+# time, so a replaced module attribute is the one every caller uses
+_ZETA = _Family(
+    scalar_name="alpha", interval=ALPHA_INTERVAL,
+    norm=lambda alpha, R: harmonic(alpha, R),
+    p=lambda alpha, H, r: r ** -alpha / H,
+    objective=_zeta_objective, start=lambda s: None,
+)
+_GEOMETRIC = _Family(
+    scalar_name="q", interval=Q_INTERVAL,
+    norm=lambda q, R: geom_norm(q, R),
+    p=lambda q, c, r: c * (1.0 - q) ** (r - 1),
+    # start: the untruncated geometric MLE; 1, outside the interval, on one-rank data
+    objective=_geometric_objective, start=lambda s: 1.0 / s.mean_rank,
+)
+
+
 def pmf(m: ModelParams, r: int) -> float:
     """Probability of rank r under m; zero outside the support 1..R."""
     if r < 1 or r > m.R:
         return 0.0
-    if m.kind.is_zeta:
-        return r ** -m.alpha / m._norm
-    return m._norm * (1.0 - m.q) ** (r - 1)
+    return m.kind.family.p(m.scalar, m._norm, r)
 
 
 def log_likelihood(m: ModelParams, s: SummaryStats) -> float:
@@ -188,25 +245,11 @@ def log_likelihood(m: ModelParams, s: SummaryStats) -> float:
 
     Returns -inf when the data attest a rank beyond the model support
     (r_max > R), since some observation then has zero probability, and
-    the closed form of scalar_log_likelihood otherwise.
+    the family's closed form otherwise.
     """
     if s.r_max > m.R:
         return -math.inf
-    return scalar_log_likelihood(m.kind, m.R, s)(m.scalar)
-
-
-def scalar_log_likelihood(kind: ModelKind, R: int, s: SummaryStats) -> Callable[[float], float]:
-    """log_likelihood on 1..R as a function of the free scalar, for r_max <= R:
-
-      zeta:       alpha -> -alpha * FlogR - F0 * log H(alpha, R)
-      geometric:  q -> F0 * log c(q, R) + (F1 - F0) * log(1 - q)
-
-    The optimizer calls it per evaluation, so no ModelParams is built there.
-    """
-    F0, FlogR, tail = s.F0, s.FlogR, s.F1 - s.F0
-    if kind.is_zeta:
-        return lambda alpha: -alpha * FlogR - F0 * math.log(harmonic(alpha, R))
-    return lambda q: F0 * math.log(geom_norm(q, R)) + tail * math.log1p(-q)
+    return m.kind.family.objective(s, m.R)(m.scalar)
 
 
 def expected_frequency(m: ModelParams, F0: float, r: int) -> float:

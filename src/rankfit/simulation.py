@@ -17,12 +17,10 @@ import math
 import numbers
 import statistics
 from dataclasses import asdict, dataclass
-from operator import itemgetter
 from typing import NamedTuple
 
-from ._io import tsv
 from .histogram import RankHistogram
-from .models import ModelParams, pmf
+from .models import ModelParams, _whole, pmf
 from .selection import DEFAULT_ENSEMBLE, select
 
 __all__ = [
@@ -74,17 +72,6 @@ def _child_seed(seed: int, *key: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _whole(value, name: str, lo: int, hi: int) -> int:
-    """value as an int; ValueError unless it is a whole number in [lo, hi)."""
-    try:
-        whole = int(value)  # inf, nan and None fail here, named by Python's own message
-    except (TypeError, OverflowError) as exc:
-        raise ValueError(str(exc)) from exc
-    if whole != value or not lo <= whole < hi:
-        raise ValueError(f"{name} must be a whole number from {lo} to {hi - 1}, got {value!r}")
-    return whole
-
-
 def _draw_count(n, name: str) -> int:
     """n as an int; ValueError unless it is a whole number in [1, 2**63 - 1]."""
     if not (isinstance(n, numbers.Real) and 1 <= n < 2 ** 63 and n == int(n)):
@@ -96,14 +83,14 @@ def sample_counts(m: ModelParams, n: int, seed: int):
     """Draw n ranks from the model pmf; returns numpy counts per category 1..R.
 
     One multinomial draw over the R-point pmf, built in O(R) as p(1) times
-    the weight ratios r**-alpha or (1-q)**(r-1). Time and memory do not
-    depend on n. Deterministic for a fixed seed.
+    the family's weights p(r) / p(1), its pmf with normalizer 1. Time and
+    memory do not depend on n. Deterministic for a fixed seed.
     """
     import numpy as np
     n = _draw_count(n, "n")
-    r = np.arange(m.R)  # rank - 1
-    ratio = (r + 1.0) ** -m.alpha if m.kind.is_zeta else (1.0 - m.q) ** r
-    return np.random.default_rng(seed).multinomial(n, pmf(m, 1) * ratio)
+    # float ranks: int ranks cannot take an int alpha's negative power
+    weights = m.kind.family.p(m.scalar, 1.0, np.arange(1.0, m.R + 1))
+    return np.random.default_rng(seed).multinomial(n, pmf(m, 1) * weights)
 
 
 def sample(m: ModelParams, n: int, seed: int) -> RankHistogram:
@@ -170,12 +157,6 @@ class RecoveryStats:
         d["ensemble"] = [k.value for k in self.ensemble]
         d["per_size"] = [s.as_dict() for s in self.per_size]
         return d
-
-    def to_tsv(self) -> str:
-        """Per-size summary table, one row per sample size."""
-        columns = ("sample_size", "trials", "failures", "median_abs_param_error",
-                   "aicc_true_fraction", "bic_true_fraction", "undersampled_fraction")
-        return tsv(columns, (itemgetter(*columns)(s.as_dict()) for s in self.per_size))
 
 
 def recovery_experiment(cfg: SimulationConfig, ensemble=None) -> RecoveryStats:

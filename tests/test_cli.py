@@ -6,9 +6,12 @@ from pathlib import Path
 
 import pytest
 
+import rankfit.cli
+import rankfit.estimation
+import rankfit.selection
 from conftest import cli_env
 from rankfit._io import json_text
-from rankfit.cli import _write_json
+from rankfit.cli import _write_json, main
 
 REPO = Path(__file__).resolve().parent.parent
 DEMO = REPO / "data" / "demo_synthetic.tsv"
@@ -156,6 +159,17 @@ def test_diagnose_end_to_end(tmp_path):
     assert len(manifest["series"]) == 15
 
 
+def test_diagnose_summarizes_once(tmp_path, monkeypatch):
+    calls = []
+    for module in (rankfit.cli, rankfit.estimation, rankfit.selection):
+        def counting(hist, summarize=module.summarize):
+            calls.append(hist)
+            return summarize(hist)
+        monkeypatch.setattr(module, "summarize", counting)
+    assert main(["diagnose", "--input", str(DEMO), "--out-dir", str(tmp_path / "d")]) == 0
+    assert len(calls) == 1
+
+
 def test_cross_apply_reports_minus_inf(tmp_path):
     d17 = tmp_path / "d17.tsv"
     d18 = tmp_path / "d18.tsv"
@@ -185,6 +199,19 @@ def test_cross_apply_self_matches_stored_loglik(tmp_path):
     stored = json.loads(fit_path.read_text())
     assert payload["finite"] is True
     assert payload["loglik"] == pytest.approx(stored["loglik"], abs=1e-9)
+
+
+def test_cross_apply_fit_file_with_fractional_R_is_one_line_error(tmp_path):
+    fit_path = tmp_path / "fit.json"
+    fit_path.write_text(json.dumps({
+        "kind": "geometric2", "params": {"kind": "geometric2", "R": 10.7, "N": 24, "q": 0.4},
+        "loglik": -1.0, "n_params": 2, "converged": True, "iterations": 1, "warnings": []}),
+        encoding="utf-8")
+    out = tmp_path / "ca.json"
+    proc = run_cli("cross-apply", "--fit", fit_path, "--input", DEMO, "--out", out,
+                   cwd=tmp_path)
+    assert "R must be a whole number" in one_line_error(proc)
+    assert not out.exists()
 
 
 def test_cross_apply_missing_fit_file(tmp_path):
@@ -257,6 +284,30 @@ def test_simulate_trials_and_seed_must_be_whole(tmp_path, trials, seed, named):
     proc = run_cli("simulate", "--mode", "recovery", "--model", "geometric1", "--q", "0.4",
                    "--sizes", "50", "--config", cfg_path, "--out", out, cwd=tmp_path)
     assert named in one_line_error(proc)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("model, named", [
+    ({"kind": "geometric2", "R": 10.7, "N": 24.9, "q": 0.4}, "R must be a whole number"),
+    ({"kind": "zeta1", "R": 24, "N": 24.9, "alpha": 1.0}, "N must be a whole number"),
+])
+def test_simulate_fractional_R_or_N_is_one_line_error(tmp_path, model, named):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"mode": "undersampling", "n": 10, "model": model}),
+                        encoding="utf-8")
+    out = tmp_path / "s.json"
+    proc = run_cli("simulate", "--config", cfg_path, "--out", out, cwd=tmp_path)
+    assert named in one_line_error(proc)
+    assert not out.exists()
+
+
+def test_simulate_absurd_N_is_one_line_error(tmp_path):
+    # 10**15 ranks need 7 PiB, more than the address space: the allocation
+    # fails at once, before any memory is touched
+    out = tmp_path / "s.json"
+    proc = run_cli("simulate", "--mode", "undersampling", "--model", "geometric1",
+                   "--q", "0.4", "--N", 10 ** 15, "--n", 10, "--out", out, cwd=tmp_path)
+    one_line_error(proc)
     assert not out.exists()
 
 

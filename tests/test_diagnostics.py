@@ -62,7 +62,7 @@ def test_expected_series_normalizes_once(monkeypatch):
 
     monkeypatch.setattr("rankfit.models.harmonic", counting)
     series = expected_series(zeta1(1.0, 500), 100.0, "normal")
-    assert len(calls) <= 1
+    assert len(calls) == 1
     assert len(series.points) == 500
     assert series.points[1] == (2.0, 100.0 * (2 ** -1.0 / harmonic(1.0, 500)))
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rankfit import ParseError, RankHistogram, moment, parse_dataset, summarize
+from rankfit import ParseError, RankHistogram, parse_dataset, summarize
 
 
 def test_parse_assigns_ranks_by_descending_frequency_with_tie_warning():
@@ -111,25 +111,10 @@ def test_summary_json_keys():
     json.dumps(d)  # serializable
 
 
-def test_moment_examples():
-    h = RankHistogram.from_frequencies([8, 4, 2, 1])
-    assert moment(h, 0) == 15.0
-    assert moment(h, 1) == 26.0
-    assert moment(RankHistogram.from_frequencies([2, 1]), 2) == 6.0
-
-
 positive_freqs = st.lists(
     st.floats(min_value=0.01, max_value=1e4, allow_nan=False, allow_infinity=False),
     min_size=1, max_size=24,
 ).map(lambda xs: sorted(xs, reverse=True))
-
-
-@given(positive_freqs)
-def test_moment_agrees_with_summarize(freqs):
-    h = RankHistogram.from_frequencies(freqs)
-    s = summarize(h)
-    assert moment(h, 0) == s.F0
-    assert moment(h, 1) == s.F1
 
 
 @given(st.lists(st.integers(min_value=1, max_value=10 ** 6), min_size=1, max_size=24)
@@ -143,13 +128,15 @@ def test_f0_exact_for_integer_inputs(freqs):
 @settings(max_examples=50)
 def test_canonical_round_trip(freqs, label):
     h = RankHistogram.from_frequencies(freqs, label=label)
-    again = parse_dataset(h.to_tsv(), label=label)
+    text = "label\tfrequency\n" + "".join(
+        f"{name}\t{freq!r}\n" for name, freq in zip(h.names, h.frequencies))
+    again = parse_dataset(text, label=label)
     assert again == h
 
 
 def test_round_trip_preserves_real_frequencies():
     h = RankHistogram.from_frequencies([182.0, 90.25, 0.125])
-    assert parse_dataset(h.to_tsv()) == h
+    assert parse_dataset("label\tfrequency\nr1\t182\nr2\t90.25\nr3\t0.125\n") == h
 
 
 @given(st.permutations(list(range(6))))

@@ -93,6 +93,19 @@ def test_pmf_geometric_example():
     assert pmf(m, 3) == 0.0
 
 
+@pytest.mark.parametrize("R", R_GRID)
+def test_pmf_is_the_written_out_formula_bit_for_bit(R):
+    ranks = range(1, R + 1)
+    for alpha in ALPHA_GRID + (1, 2):
+        H = harmonic(alpha, R)
+        for m in (zeta2(alpha, R), zeta1(alpha, R)):
+            assert [pmf(m, r) for r in ranks] == [r ** -alpha / H for r in ranks]
+    for q in Q_GRID:
+        c = geom_norm(q, R)
+        for m in (geometric2(q, R), geometric1(q, R)):
+            assert [pmf(m, r) for r in ranks] == [c * (1.0 - q) ** (r - 1) for r in ranks]
+
+
 def test_pmf_zero_beyond_truncation_rank():
     # a model truncated at 17 puts zero probability on rank 18
     m = geometric2(0.42, 17)
@@ -202,6 +215,14 @@ def test_model_params_json_round_trip():
     for m in (zeta1(1.2), zeta2(0.7, 11), geometric1(0.3), geometric2(0.9, 2)):
         assert ModelParams.from_dict(m.as_dict()) == m
         assert m.as_dict()["kind"] == m.kind.value
+
+
+def test_model_params_from_dict_takes_whole_numbers_only():
+    d = {"kind": "zeta2", "R": 10.0, "N": 24.0, "alpha": 1.5}
+    assert ModelParams.from_dict(d) == zeta2(1.5, 10)
+    for key, value in (("R", 10.7), ("N", 24.9), ("R", "10"), ("N", math.inf)):
+        with pytest.raises(ValueError):
+            ModelParams.from_dict({**d, key: value})
 
 
 def test_scalar_property():
