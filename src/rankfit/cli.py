@@ -71,7 +71,7 @@ def _write_manifest(path: Path, command: str, inputs: list[str],
 
 
 def _parse_input(args) -> RankHistogram:
-    hist = parse_dataset(read_text(args.input), delimiter=args.delimiter, label=args.input)
+    hist = parse_dataset(read_text(args.input), delimiter=args.delimiter)
     for note in hist.warnings:
         print(f"note: {note}", file=sys.stderr)
     return hist

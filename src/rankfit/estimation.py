@@ -26,7 +26,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .histogram import RankHistogram, SummaryStats, summarize
-from .models import ALPHA_INTERVAL, DEFAULT_DOMAIN_CEILING, Q_INTERVAL, ModelKind, ModelParams
+from .models import (ALPHA_INTERVAL, DEFAULT_DOMAIN_CEILING, Q_INTERVAL, ModelKind, ModelParams,
+                     _whole)
 from .models import log_likelihood  # noqa: F401  (bench/tracing.py counts calls through this name)
 
 __all__ = ["ALPHA_INTERVAL", "Q_INTERVAL", "FitResult", "fit"]
@@ -63,9 +64,9 @@ class FitResult:
         return cls(
             params=ModelParams.from_dict(d["params"]),
             loglik=float(d["loglik"]),
-            n_params=int(d["n_params"]),
+            n_params=_whole(d["n_params"], "n_params", 1, 3),
             converged=bool(d["converged"]),
-            iterations=int(d["iterations"]),
+            iterations=_whole(d["iterations"], "iterations", 0, 2 ** 63),
             warnings=tuple(d.get("warnings", ())),
         )
 

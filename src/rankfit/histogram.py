@@ -28,31 +28,23 @@ class ParseError(ValueError):
 class RankHistogram:
     """Observed frequency per rank, with rank 1 the most frequent record.
 
-    ``entries`` holds (rank, frequency) pairs covering ranks 1..r_max with
-    no gaps; frequencies are positive reals and non-increasing in rank.
-    ``names`` carries the record label behind each rank. ``warnings``
-    collects parse-time notes (ties, dropped records) and is excluded from
-    equality.
+    ``frequencies[r - 1]`` is the frequency of rank r, for ranks 1..r_max;
+    frequencies are positive reals and non-increasing in rank. ``names``
+    carries the record label behind each rank. ``warnings`` collects
+    parse-time notes (ties, dropped records) and is excluded from equality.
     """
 
-    entries: tuple[tuple[int, float], ...]
+    frequencies: tuple[float, ...]
     names: tuple[str, ...]
-    label: str = ""
-    unit: str = ""
     warnings: tuple[str, ...] = field(default=(), compare=False)
 
     def __post_init__(self):
-        if not self.entries:
+        if not self.frequencies:
             raise ValueError("histogram must contain at least one rank")
-        if len(self.names) != len(self.entries):
+        if len(self.names) != len(self.frequencies):
             raise ValueError("histogram needs exactly one name per rank")
         prev = math.inf
-        for position, (rank, freq) in enumerate(self.entries, start=1):
-            if rank != position:
-                raise ValueError(
-                    f"ranks must be exactly 1..r_max with no gaps; found rank "
-                    f"{rank} at position {position}"
-                )
+        for rank, freq in enumerate(self.frequencies, start=1):
             if not (isinstance(freq, float) and math.isfinite(freq) and freq > 0):
                 raise ValueError(f"rank {rank}: frequency must be a positive finite real")
             if freq > prev:
@@ -60,23 +52,21 @@ class RankHistogram:
             prev = freq
 
     @classmethod
-    def from_frequencies(cls, freqs, names=None, label: str = "", unit: str = "",
-                         warnings=()) -> "RankHistogram":
+    def from_frequencies(cls, freqs, names=None) -> "RankHistogram":
         """Build a histogram from frequencies already sorted by rank."""
-        freqs = [float(f) for f in freqs]
+        freqs = tuple(float(f) for f in freqs)
         if names is None:
             names = tuple(f"r{i}" for i in range(1, len(freqs) + 1))
-        entries = tuple((i, f) for i, f in enumerate(freqs, start=1))
-        return cls(entries=entries, names=tuple(names), label=label, unit=unit,
-                   warnings=tuple(warnings))
+        return cls(frequencies=freqs, names=tuple(names))
 
     @property
     def r_max(self) -> int:
-        return len(self.entries)
+        return len(self.frequencies)
 
     @property
-    def frequencies(self) -> tuple[float, ...]:
-        return tuple(f for _, f in self.entries)
+    def entries(self) -> tuple[tuple[int, float], ...]:
+        """(rank, frequency) pairs for ranks 1..r_max."""
+        return tuple(enumerate(self.frequencies, start=1))
 
 
 @dataclass(frozen=True)
@@ -107,20 +97,15 @@ class SummaryStats:
         return asdict(self)
 
 
-def parse_dataset(text: str, *, delimiter: str = "\t", label: str = "",
-                  unit: str = "", header: bool | str = "auto") -> RankHistogram:
+def parse_dataset(text: str, *, delimiter: str = "\t") -> RankHistogram:
     """Parse delimited label/frequency records into a rank histogram.
 
     Records are sorted by descending frequency (stable, so ties keep input
     order and are flagged with a warning); rank i goes to the i-th record
-    after sorting. Zero-frequency records are dropped with a warning.
-
-    ``header`` controls the first non-blank line: True skips it, False
-    parses it as data, "auto" (default) skips it only when its frequency
-    field is non-numeric (which covers a ``label\\tfrequency`` header).
+    after sorting. Zero-frequency records are dropped with a warning. The
+    first non-blank line is skipped when its frequency field is
+    non-numeric (which covers a ``label\\tfrequency`` header).
     """
-    if header not in (True, False, "auto"):
-        raise ValueError("header must be True, False or 'auto'")
     records: list[tuple[int, str, float]] = []
     notes: list[str] = []
     seen_first = False
@@ -131,8 +116,6 @@ def parse_dataset(text: str, *, delimiter: str = "\t", label: str = "",
         first = not seen_first
         seen_first = True
         parts = line.split(delimiter)
-        if first and header is True:
-            continue
         if len(parts) != 2:
             raise ParseError(
                 f"expected 2 fields separated by {delimiter!r}, got {len(parts)}",
@@ -142,7 +125,7 @@ def parse_dataset(text: str, *, delimiter: str = "\t", label: str = "",
         try:
             freq = float(freq_text)
         except ValueError:
-            if first and header == "auto":
+            if first:
                 continue
             raise ParseError(f"non-numeric frequency field {freq_text!r}", line=lineno) from None
         if math.isnan(freq) or math.isinf(freq):
@@ -173,10 +156,8 @@ def parse_dataset(text: str, *, delimiter: str = "\t", label: str = "",
         i = j + 1
 
     return RankHistogram(
-        entries=tuple((rank, rec[2]) for rank, rec in enumerate(records, start=1)),
+        frequencies=tuple(rec[2] for rec in records),
         names=tuple(rec[1] for rec in records),
-        label=label,
-        unit=unit,
         warnings=tuple(notes),
     )
 
@@ -185,6 +166,6 @@ def summarize(hist: RankHistogram) -> SummaryStats:
     """Compute F0, F1, FlogR, mean rank and r_max for a histogram."""
     freqs = hist.frequencies
     F0 = math.fsum(freqs)
-    F1 = math.fsum(f * r for r, f in hist.entries)
-    FlogR = math.fsum(f * math.log(r) for r, f in hist.entries)
+    F1 = math.fsum(f * r for r, f in enumerate(freqs, start=1))
+    FlogR = math.fsum(f * math.log(r) for r, f in enumerate(freqs, start=1))
     return SummaryStats(F0=F0, F1=F1, FlogR=FlogR, mean_rank=F1 / F0, r_max=hist.r_max)

@@ -117,6 +117,14 @@ class ModelParams:
         """Normalizer, once per model: H(alpha, R) or c(q, R)."""
         return self.kind.family.norm(self.scalar, self.R)
 
+    @cached_property
+    def _probabilities(self):
+        """The pmf on 1..R as a numpy float array, once per model: p(1) times
+        the family's weights p(r) / p(1), its pmf with normalizer 1."""
+        import numpy as np
+        # float ranks: int ranks cannot take an int alpha's negative power
+        return pmf(self, 1) * self.kind.family.p(self.scalar, 1.0, np.arange(1.0, self.R + 1))
+
     def as_dict(self) -> dict:
         d = {"kind": self.kind.value, "R": self.R, "N": self.N}
         if self.alpha is not None:

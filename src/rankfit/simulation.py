@@ -2,10 +2,12 @@
 
 Each trial is one multinomial draw of its per-rank counts over the R-point
 pmf, so a trial costs O(R) time and memory whatever its number of draws.
-Randomness comes from numpy's PCG64 generator. Each trial derives its own
-substream from (seed, indices) through SeedSequence, so results do not
-depend on execution order; identical configurations reproduce identical
-outputs bit for bit.
+The probability vector is built once per model and kept on it, so every
+trial of one call draws from the same vector. Randomness comes from
+numpy's PCG64 generator. Each trial derives its own substream from
+(seed, indices) through SeedSequence, so results do not depend on
+execution order; identical configurations reproduce identical outputs
+bit for bit.
 
 numpy loads only when a simulation runs (sample_counts, sample,
 undersampling_probability, recovery_experiment), not on import.
@@ -20,7 +22,8 @@ from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 from .histogram import RankHistogram
-from .models import ModelParams, _whole, pmf
+from .models import ModelParams, _whole
+from .models import pmf  # noqa: F401  (bench/tracing.py counts calls through this name)
 from .selection import DEFAULT_ENSEMBLE, select
 
 __all__ = [
@@ -82,15 +85,13 @@ def _draw_count(n, name: str) -> int:
 def sample_counts(m: ModelParams, n: int, seed: int):
     """Draw n ranks from the model pmf; returns numpy counts per category 1..R.
 
-    One multinomial draw over the R-point pmf, built in O(R) as p(1) times
-    the family's weights p(r) / p(1), its pmf with normalizer 1. Time and
-    memory do not depend on n. Deterministic for a fixed seed.
+    One multinomial draw over the R-point pmf, which the model builds in
+    O(R) once and keeps. Time and memory do not depend on n. Deterministic
+    for a fixed seed.
     """
     import numpy as np
     n = _draw_count(n, "n")
-    # float ranks: int ranks cannot take an int alpha's negative power
-    weights = m.kind.family.p(m.scalar, 1.0, np.arange(1.0, m.R + 1))
-    return np.random.default_rng(seed).multinomial(n, pmf(m, 1) * weights)
+    return np.random.default_rng(seed).multinomial(n, m._probabilities)
 
 
 def sample(m: ModelParams, n: int, seed: int) -> RankHistogram:
@@ -107,8 +108,6 @@ def sample(m: ModelParams, n: int, seed: int) -> RankHistogram:
     return RankHistogram.from_frequencies(
         [float(counts[i]) for i in attested],
         names=[f"c{i + 1:0{width}d}" for i in attested],
-        label=f"sample from {m.kind.value} (seed {seed}, n {int(n)})",
-        unit="draws",
     )
 
 

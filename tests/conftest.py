@@ -6,10 +6,25 @@ suite starts. Those children run with `cwd=tmp_path`, where a relative
 on their `PYTHONPATH` as an absolute path. The children then import the
 same rankfit source as the test process, even where another copy is
 installed.
+
+When an @given test fails, Hypothesis's pytest plugin imports
+`hypothesis.extra._patching`, whose libcst import chain raises a
+DeprecationWarning from mypy_extensions. Under `filterwarnings = error`
+that warning aborts the whole run with INTERNALERROR, so the module is
+imported once here with DeprecationWarning ignored for that import only.
+Warnings from rankfit itself still fail the suite.
 """
 
 import os
+import warnings
 from pathlib import Path
+
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:  # no libcst: the plugin skips its patch step as well
+        pass
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 

@@ -214,6 +214,20 @@ def test_cross_apply_fit_file_with_fractional_R_is_one_line_error(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("field, bad", [("n_params", 2.9), ("iterations", 3.7)])
+def test_cross_apply_fit_file_with_fractional_count_is_one_line_error(tmp_path, field, bad):
+    stored = {
+        "kind": "geometric2", "params": {"kind": "geometric2", "R": 10, "N": 24, "q": 0.4},
+        "loglik": -1.0, "n_params": 2, "converged": True, "iterations": 1, "warnings": []}
+    fit_path = tmp_path / "fit.json"
+    fit_path.write_text(json.dumps({**stored, field: bad}), encoding="utf-8")
+    out = tmp_path / "ca.json"
+    proc = run_cli("cross-apply", "--fit", fit_path, "--input", DEMO, "--out", out,
+                   cwd=tmp_path)
+    assert f"{field} must be a whole number" in one_line_error(proc)
+    assert not out.exists()
+
+
 def test_cross_apply_missing_fit_file(tmp_path):
     proc = run_cli("cross-apply", "--fit", tmp_path / "absent.json", "--input",
                    DEMO, "--out", tmp_path / "o.json", cwd=tmp_path)

@@ -1,5 +1,9 @@
 """The public names of rankfit, pinned: adding or removing one is a deliberate
-change that updates this list, CHANGES.md and the README together."""
+change that updates this list, CHANGES.md and the README together. The same
+holds for the fields and options of the histogram API."""
+
+import dataclasses
+import inspect
 
 import rankfit
 import rankfit.models
@@ -32,3 +36,11 @@ def test_package_public_names():
 
 def test_models_public_names():
     assert rankfit.models.__all__ == MODELS
+
+
+def test_histogram_fields_and_options():
+    assert [f.name for f in dataclasses.fields(rankfit.RankHistogram)] == [
+        "frequencies", "names", "warnings"]
+    assert list(inspect.signature(rankfit.parse_dataset).parameters) == ["text", "delimiter"]
+    assert list(inspect.signature(rankfit.RankHistogram.from_frequencies).parameters) == [
+        "freqs", "names"]

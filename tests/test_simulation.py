@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
+import rankfit.models
+import rankfit.simulation
 from rankfit import (
     ModelKind,
     ModelParams,
@@ -64,6 +66,16 @@ def test_sample_counts_int_alpha_is_float_alpha():
     for n, seed in ((1, 0), (50, 3), (10 ** 6, 8)):
         assert (sample_counts(zeta1(2, 24), n, seed)
                 == sample_counts(zeta1(2.0, 24), n, seed)).all()
+
+
+def test_undersampling_builds_the_probability_vector_once(monkeypatch):
+    calls = []
+    for module in (rankfit.models, rankfit.simulation):
+        real = module.pmf
+        monkeypatch.setattr(module, "pmf",
+                            lambda m, r, real=real: calls.append(r) or real(m, r))
+    undersampling_probability(zeta1(1.3, 24), 300, trials=50, seed=1)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("model", [geometric1(0.2, 24), zeta2(1.0, 24)])
