@@ -171,10 +171,6 @@ def diagnose(hist: RankHistogram, fits, margin: float = DEFAULT_R2_MARGIN) -> Di
     )
 
 
-_SCALE_SLUG = {Scale.NORMAL: "normal", Scale.LINEAR_LOG: "linear_log",
-               Scale.LOG_LOG: "log_log"}
-
-
 def emit_plot_data(hist: RankHistogram, fits, directory) -> list[Path]:
     """Write one TSV per (scale, source) plus a series manifest.
 
@@ -194,7 +190,7 @@ def emit_plot_data(hist: RankHistogram, fits, directory) -> list[Path]:
     written: list[Path] = []
     manifest = []
     for stem, series, entry in curves:
-        path = directory / f"{stem}_{_SCALE_SLUG[series.scale]}.tsv"
+        path = directory / f"{stem}_{series.scale.value.replace('-', '_')}.tsv"
         write_text(path, tsv(("x", "y"), ((number(x), number(y)) for x, y in series.points)))
         written.append(path)
         manifest.append({"file": path.name, "scale": series.scale.value, **entry})

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
+from itertools import groupby
+from operator import itemgetter
 
 from ._io import number
 
@@ -106,7 +108,7 @@ def parse_dataset(text: str, *, delimiter: str = "\t") -> RankHistogram:
     first non-blank line is skipped when its frequency field is
     non-numeric (which covers a ``label\\tfrequency`` header).
     """
-    records: list[tuple[int, str, float]] = []
+    records: list[tuple[str, float]] = []
     notes: list[str] = []
     seen_first = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -135,37 +137,34 @@ def parse_dataset(text: str, *, delimiter: str = "\t") -> RankHistogram:
         if freq == 0:
             notes.append(f"dropped zero-frequency record {name!r} (line {lineno})")
             continue
-        records.append((lineno, name, freq))
+        records.append((name, freq))
     if not records:
         raise ParseError("empty input: no usable records")
 
-    records.sort(key=lambda rec: -rec[2])
+    records.sort(key=itemgetter(1), reverse=True)
 
     # flag tie groups: stable sort already fixed their order to input order
-    i = 0
-    while i < len(records):
-        j = i
-        while j + 1 < len(records) and records[j + 1][2] == records[i][2]:
-            j += 1
-        if j > i:
-            tied = ", ".join(repr(rec[1]) for rec in records[i:j + 1])
-            notes.append(
-                f"tie at frequency {number(records[i][2])} broken by "
-                f"input order: {tied}"
-            )
-        i = j + 1
+    for freq, group in groupby(records, key=itemgetter(1)):
+        group = list(group)
+        if len(group) > 1:
+            tied = ", ".join(repr(name) for name, _ in group)
+            notes.append(f"tie at frequency {number(freq)} broken by input order: {tied}")
 
     return RankHistogram(
-        frequencies=tuple(rec[2] for rec in records),
-        names=tuple(rec[1] for rec in records),
+        frequencies=tuple(freq for _, freq in records),
+        names=tuple(name for name, _ in records),
         warnings=tuple(notes),
     )
 
 
 def summarize(hist: RankHistogram) -> SummaryStats:
     """Compute F0, F1, FlogR, mean rank and r_max for a histogram."""
-    freqs = hist.frequencies
+    return _summary(hist.frequencies)
+
+
+def _summary(freqs) -> SummaryStats:
+    """The SummaryStats of frequencies listed by rank, rank 1 first."""
     F0 = math.fsum(freqs)
     F1 = math.fsum(f * r for r, f in enumerate(freqs, start=1))
     FlogR = math.fsum(f * math.log(r) for r, f in enumerate(freqs, start=1))
-    return SummaryStats(F0=F0, F1=F1, FlogR=FlogR, mean_rank=F1 / F0, r_max=hist.r_max)
+    return SummaryStats(F0=F0, F1=F1, FlogR=FlogR, mean_rank=F1 / F0, r_max=len(freqs))

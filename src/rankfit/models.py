@@ -126,12 +126,8 @@ class ModelParams:
         return pmf(self, 1) * self.kind.family.p(self.scalar, 1.0, np.arange(1.0, self.R + 1))
 
     def as_dict(self) -> dict:
-        d = {"kind": self.kind.value, "R": self.R, "N": self.N}
-        if self.alpha is not None:
-            d["alpha"] = self.alpha
-        if self.q is not None:
-            d["q"] = self.q
-        return d
+        return {"kind": self.kind.value, "R": self.R, "N": self.N,
+                self.kind.family.scalar_name: self.scalar}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelParams":

@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import math
 import warnings as _warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from operator import itemgetter
 
 from ._io import tsv
 from .estimation import FitResult, fit
-from .histogram import RankHistogram, summarize
+from .histogram import RankHistogram, SummaryStats, summarize
 from .models import DEFAULT_DOMAIN_CEILING, ModelKind, log_likelihood
 
 __all__ = [
@@ -134,14 +134,14 @@ def bic_evidence_ratio(loglik_i: float, k_i: int, loglik_j: float, k_j: int,
 @dataclass(frozen=True)
 class SelectionRow:
     kind: ModelKind
-    fit: FitResult | None
-    loglik: float | None
-    aicc: float | None
-    delta_aicc: float | None
-    w_aicc: float | None
-    bic: float | None
-    delta_bic: float | None
-    w_bic: float | None
+    fit: FitResult | None = None
+    loglik: float | None = None
+    aicc: float | None = None
+    delta_aicc: float | None = None
+    w_aicc: float | None = None
+    bic: float | None = None
+    delta_bic: float | None = None
+    w_bic: float | None = None
     error: str | None = None
 
 
@@ -169,9 +169,10 @@ def _argbest(rows: list[SelectionRow], score_of) -> ModelKind:
     return best.kind
 
 
-def select(hist: RankHistogram, N: int = DEFAULT_DOMAIN_CEILING,
+def select(hist: RankHistogram | SummaryStats, N: int = DEFAULT_DOMAIN_CEILING,
            ensemble=None) -> SelectionTable:
-    """Fit every ensemble member and score it with AICc and BIC.
+    """Fit every ensemble member to a histogram, or its SummaryStats, and
+    score it with AICc and BIC.
 
     Rows whose fit or scoring fails (for instance AICc with F0 <= K + 1)
     keep their error message and are excluded from delta and weight
@@ -180,42 +181,26 @@ def select(hist: RankHistogram, N: int = DEFAULT_DOMAIN_CEILING,
     kinds = tuple(ModelKind(k) for k in (ensemble if ensemble is not None else DEFAULT_ENSEMBLE))
     if not kinds:
         raise ValueError("ensemble must not be empty")
-    s = summarize(hist)
+    s = hist if isinstance(hist, SummaryStats) else summarize(hist)
 
-    fitted: list[tuple[ModelKind, FitResult | None, float | None, float | None, str | None]] = []
+    rows = []
     for kind in kinds:
         try:
             fr = fit(kind, s, N)
-            a = aicc(fr.loglik, fr.n_params, s.F0)
-            b = bic(fr.loglik, fr.n_params, s.F0)
-            fitted.append((kind, fr, a, b, None))
+            rows.append(SelectionRow(kind=kind, fit=fr, loglik=fr.loglik,
+                                     aicc=aicc(fr.loglik, fr.n_params, s.F0),
+                                     bic=bic(fr.loglik, fr.n_params, s.F0)))
         except ValueError as exc:
-            fitted.append((kind, None, None, None, str(exc)))
+            rows.append(SelectionRow(kind=kind, error=str(exc)))
 
-    valid = [(i, a, b) for i, (_, _, a, b, err) in enumerate(fitted) if err is None]
-    if not valid:
+    scored = [r for r in rows if r.error is None]
+    if not scored:
         raise ValueError("no ensemble member could be fitted and scored")
-    w_a = weights([a for _, a, _ in valid])
-    w_b = weights([b for _, _, b in valid])
-    min_a = min(a for _, a, _ in valid)
-    min_b = min(b for _, _, b in valid)
-
-    by_index = {i: (w_a[k], w_b[k]) for k, (i, _, _) in enumerate(valid)}
-    rows = []
-    for i, (kind, fr, a, b, err) in enumerate(fitted):
-        if err is None:
-            rows.append(SelectionRow(
-                kind=kind, fit=fr, loglik=fr.loglik,
-                aicc=a, delta_aicc=a - min_a, w_aicc=by_index[i][0],
-                bic=b, delta_bic=b - min_b, w_bic=by_index[i][1],
-            ))
-        else:
-            rows.append(SelectionRow(
-                kind=kind, fit=fr, loglik=None,
-                aicc=None, delta_aicc=None, w_aicc=None,
-                bic=None, delta_bic=None, w_bic=None,
-                error=err,
-            ))
+    min_a, w_a = min(r.aicc for r in scored), iter(weights([r.aicc for r in scored]))
+    min_b, w_b = min(r.bic for r in scored), iter(weights([r.bic for r in scored]))
+    rows = [replace(r, delta_aicc=r.aicc - min_a, w_aicc=next(w_a),
+                    delta_bic=r.bic - min_b, w_bic=next(w_b))
+            if r.error is None else r for r in rows]
 
     return SelectionTable(
         rows=tuple(rows),

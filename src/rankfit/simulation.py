@@ -9,6 +9,10 @@ numpy's PCG64 generator. Each trial derives its own substream from
 execution order; identical configurations reproduce identical outputs
 bit for bit.
 
+undersampling_probability and recovery_experiment share one trial loop,
+_trial_counts. Recovery selects on the SummaryStats of each trial's
+attested counts, those of summarize(sample(...)), and builds no histogram.
+
 numpy loads only when a simulation runs (sample_counts, sample,
 undersampling_probability, recovery_experiment), not on import.
 """
@@ -21,7 +25,7 @@ import statistics
 from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
-from .histogram import RankHistogram
+from .histogram import RankHistogram, _summary
 from .models import ModelParams, _whole
 from .models import pmf  # noqa: F401  (bench/tracing.py counts calls through this name)
 from .selection import DEFAULT_ENSEMBLE, select
@@ -71,8 +75,7 @@ class UndersamplingEstimate(NamedTuple):
 
 def _child_seed(seed: int, *key: int) -> int:
     import numpy as np
-    ss = np.random.SeedSequence((int(seed),) + tuple(int(k) for k in key))
-    return int(ss.generate_state(1, np.uint64)[0])
+    return int(np.random.SeedSequence((seed, *key)).generate_state(1, np.uint64)[0])
 
 
 def _draw_count(n, name: str) -> int:
@@ -111,6 +114,13 @@ def sample(m: ModelParams, n: int, seed: int) -> RankHistogram:
     )
 
 
+def _trial_counts(m: ModelParams, n: int, trials: int, seed: int, *key: int):
+    """Yield the per-rank counts of each trial's n draws from m; trial t
+    draws from the substream of (seed, *key, t)."""
+    for t in range(trials):
+        yield sample_counts(m, n, _child_seed(seed, *key, t))
+
+
 def undersampling_probability(m: ModelParams, n: int, trials: int,
                               seed: int) -> UndersamplingEstimate:
     """Monte Carlo probability that n draws attest fewer than N ranks.
@@ -122,10 +132,8 @@ def undersampling_probability(m: ModelParams, n: int, trials: int,
     import numpy as np
     trials, seed = _whole(trials, "trials", 1, 2 ** 63), _whole(seed, "seed", 0, 2 ** 64)
     under = 0
-    for t in range(trials):
-        counts = sample_counts(m, n, _child_seed(seed, t))
-        if int(np.count_nonzero(counts)) < m.N:
-            under += 1
+    for counts in _trial_counts(m, n, trials, seed):
+        under += int(np.count_nonzero(counts)) < m.N
     p = under / trials
     half_width = 1.96 * math.sqrt(p * (1.0 - p) / trials) + 0.5 / trials
     return UndersamplingEstimate(estimate=p, half_width=half_width)
@@ -161,13 +169,13 @@ class RecoveryStats:
 def recovery_experiment(cfg: SimulationConfig, ensemble=None) -> RecoveryStats:
     """Sample, select and score: can the criteria find the true model back?
 
-    For every (sample size, trial) pair a fresh histogram is drawn from the
-    true model and run through ensemble selection. Recorded per size: the
-    median absolute error of the true kind's fitted scalar, the fraction of
-    trials where each criterion picks the true kind, and the fraction of
-    undersampled trials (r_max < N). Trials whose selection fails (for
-    instance AICc undefined at tiny F0) count as failures and drop out of
-    the aggregates.
+    For every (sample size, trial) pair fresh counts are drawn from the
+    true model, summarized as sample() ranks them, and run through ensemble
+    selection. Recorded per size: the median absolute error of the true
+    kind's fitted scalar, the fraction of trials where each criterion picks
+    the true kind, and the fraction of undersampled trials (r_max < N).
+    Trials whose selection fails (for instance AICc undefined at tiny F0)
+    count as failures and drop out of the aggregates.
     """
     kinds = tuple(ensemble if ensemble is not None else DEFAULT_ENSEMBLE)
     true_kind = cfg.model.kind
@@ -182,10 +190,10 @@ def recovery_experiment(cfg: SimulationConfig, ensemble=None) -> RecoveryStats:
         bic_hits = 0
         undersampled = 0
         failures = 0
-        for t in range(cfg.trials):
-            hist = sample(cfg.model, n, _child_seed(cfg.seed, i_size, t))
+        for counts in _trial_counts(cfg.model, n, cfg.trials, cfg.seed, i_size):
+            stats = _summary(sorted((float(c) for c in counts.tolist() if c), reverse=True))
             try:
-                table = select(hist, N=cfg.model.N, ensemble=kinds)
+                table = select(stats, N=cfg.model.N, ensemble=kinds)
             except ValueError:
                 failures += 1
                 continue
@@ -196,7 +204,7 @@ def recovery_experiment(cfg: SimulationConfig, ensemble=None) -> RecoveryStats:
             errors.append(abs(row.fit.params.scalar - truth))
             aicc_hits += table.best_by_aicc == true_kind
             bic_hits += table.best_by_bic == true_kind
-            undersampled += hist.r_max < cfg.model.N
+            undersampled += stats.r_max < cfg.model.N
         done = cfg.trials - failures
         per_size.append(SizeRecovery(
             sample_size=n,

@@ -44,3 +44,12 @@ def test_histogram_fields_and_options():
     assert list(inspect.signature(rankfit.parse_dataset).parameters) == ["text", "delimiter"]
     assert list(inspect.signature(rankfit.RankHistogram.from_frequencies).parameters) == [
         "freqs", "names"]
+
+
+def test_selection_row_fields_and_defaults():
+    fields = dataclasses.fields(rankfit.SelectionRow)
+    assert [f.name for f in fields] == [
+        "kind", "fit", "loglik", "aicc", "delta_aicc", "w_aicc", "bic", "delta_bic",
+        "w_bic", "error"]
+    assert fields[0].default is dataclasses.MISSING
+    assert all(f.default is None for f in fields[1:])

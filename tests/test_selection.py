@@ -16,6 +16,7 @@ from rankfit import (
     geometric1,
     sample,
     select,
+    summarize,
     weights,
 )
 from rankfit.selection import best_params_dict, best_params_tsv, selection_table_dict, selection_table_tsv
@@ -139,6 +140,16 @@ def test_select_table_structure_and_invariants():
     best_a = min(table.rows, key=lambda r: r.aicc)
     assert max(table.rows, key=lambda r: r.w_aicc).kind == best_a.kind
     assert table.best_by_aicc == best_a.kind
+
+
+@pytest.mark.parametrize("N", [24, 200])
+def test_select_takes_summary_stats_in_place_of_the_histogram(N):
+    rng = np.random.default_rng(31)
+    hists = [random_histogram(rng, r_max_lo=1, r_max_hi=N, max_freq=int(rng.integers(1, 60)))
+             for _ in range(20)]
+    hists.append(RankHistogram.from_frequencies([2, 1]))  # AICc error rows
+    for h in hists:
+        assert select(summarize(h), N=N) == select(h, N=N)
 
 
 def test_select_prefers_geometric_on_geometric_data():

@@ -10,6 +10,7 @@ import rankfit.simulation
 from rankfit import (
     ModelKind,
     ModelParams,
+    RankHistogram,
     SimulationConfig,
     geometric1,
     geometric2,
@@ -18,10 +19,13 @@ from rankfit import (
     sample,
     sample_counts,
     select,
+    summarize,
     undersampling_probability,
     zeta1,
     zeta2,
 )
+
+from rankfit.simulation import _child_seed
 
 from _oracles import prob_all_attested
 
@@ -201,6 +205,35 @@ def test_recovery_experiment_deterministic():
     b = recovery_experiment(cfg)
     assert a == b
     assert a.as_dict() == b.as_dict()
+
+
+def test_recovery_builds_no_histogram(monkeypatch):
+    built = []
+    post_init = RankHistogram.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(RankHistogram, "__post_init__", counting)
+    cfg = SimulationConfig(seed=5, trials=3, sample_sizes=(3, 400), model=zeta2(1.0, 10))
+    recovery_experiment(cfg)
+    assert built == []
+
+
+@pytest.mark.parametrize("N", [1, 24, 200])
+def test_recovery_trial_stats_are_those_of_the_sampled_histogram(N, monkeypatch):
+    seen = []
+    monkeypatch.setattr(rankfit.simulation, "select",
+                        lambda s, **kw: seen.append(s) or select(s, **kw))
+    sizes = (1, 7, 300, 10 ** 6)
+    for m in (zeta1(1.1, N), zeta2(0.9, max(1, N // 2), N),
+              geometric1(0.3, N), geometric2(0.2, max(1, N - 1), N)):
+        seen.clear()
+        recovery_experiment(SimulationConfig(seed=13, trials=3, sample_sizes=sizes, model=m))
+        expected = [summarize(sample(m, n, _child_seed(13, i, t)))
+                    for i, n in enumerate(sizes) for t in range(3)]
+        assert [s.as_dict() for s in seen] == [s.as_dict() for s in expected]
 
 
 def test_recovery_requires_true_kind_in_ensemble():
