@@ -7,7 +7,9 @@ Both criteria are of the form -2*loglik + penalty, lower is better:
 
 Criterion weights are exp(-delta/2) normalized over the ensemble, where
 delta is the score difference to the best model; the ratio of two weights
-is the evidence of one model over the other.
+is the evidence of one model over the other. select fits only the rows it
+can score, and a family once per truncation rank R (at r_max = N both of
+its kinds have R = N, so the 2-parameter fit equals the 1-parameter one).
 """
 
 from __future__ import annotations
@@ -51,21 +53,25 @@ SELECTION_COLUMNS = ("model", "loglik", "AICc", "delta_AICc", "w_AICc",
                      "BIC", "delta_BIC", "w_BIC")
 
 
-def aicc(loglik: float, K: int, F0: float) -> float:
-    """Corrected Akaike criterion; requires F0 > K + 1."""
+def _check_domain(K: int, F0: float, with_aicc: bool = True) -> None:
+    """ValueError unless K >= 1, AICc (F0 > K + 1, if with_aicc) and BIC (F0 > 1) hold."""
     if K < 1:
         raise ValueError("K must be >= 1")
-    if not F0 > K + 1:
+    if with_aicc and not F0 > K + 1:
         raise ValueError(f"AICc needs F0 > K + 1 (got F0={F0}, K={K})")
+    if not F0 > 1:
+        raise ValueError(f"BIC needs F0 > 1 (got F0={F0})")
+
+
+def aicc(loglik: float, K: int, F0: float) -> float:
+    """Corrected Akaike criterion; requires F0 > K + 1."""
+    _check_domain(K, F0)
     return -2.0 * loglik + 2.0 * K * F0 / (F0 - K - 1.0)
 
 
 def bic(loglik: float, K: int, F0: float) -> float:
     """Bayesian information criterion; requires F0 > 1."""
-    if K < 1:
-        raise ValueError("K must be >= 1")
-    if not F0 > 1:
-        raise ValueError(f"BIC needs F0 > 1 (got F0={F0})")
+    _check_domain(K, F0, with_aicc=False)
     return -2.0 * loglik + K * math.log(F0)
 
 
@@ -183,10 +189,13 @@ def select(hist: RankHistogram | SummaryStats, N: int = DEFAULT_DOMAIN_CEILING,
         raise ValueError("ensemble must not be empty")
     s = hist if isinstance(hist, SummaryStats) else summarize(hist)
 
-    rows = []
+    rows, fits = [], {}
     for kind in kinds:
         try:
-            fr = fit(kind, s, N)
+            _check_domain(kind.n_params, s.F0)
+            key = (kind.family, s.r_max if kind.n_params == 2 else N)  # with the stats, all that fit reads
+            fr = fits[key] = fit(kind, s, N) if key not in fits else replace(
+                fits[key], params=replace(fits[key].params, kind=kind), n_params=kind.n_params)
             rows.append(SelectionRow(kind=kind, fit=fr, loglik=fr.loglik,
                                      aicc=aicc(fr.loglik, fr.n_params, s.F0),
                                      bic=bic(fr.loglik, fr.n_params, s.F0)))

@@ -1,17 +1,17 @@
 """Monte Carlo engine: sampling, undersampling estimates, recovery runs.
 
 Each trial is one multinomial draw of its per-rank counts over the R-point
-pmf, so a trial costs O(R) time and memory whatever its number of draws.
-The probability vector is built once per model and kept on it, so every
-trial of one call draws from the same vector. Randomness comes from
-numpy's PCG64 generator. Each trial derives its own substream from
-(seed, indices) through SeedSequence, so results do not depend on
-execution order; identical configurations reproduce identical outputs
-bit for bit.
+pmf (R <= 10**6), so a trial costs O(R) time and memory whatever its
+number of draws. The probability vector is built once per model and kept
+on it, so every trial of one call draws from the same vector. Randomness
+comes from numpy's PCG64 generator. Each trial derives its own substream
+from (seed, indices) through SeedSequence, so results do not depend on
+execution order; identical configurations reproduce outputs bit for bit.
 
 undersampling_probability and recovery_experiment share one trial loop,
 _trial_counts. Recovery selects on the SummaryStats of each trial's
-attested counts, those of summarize(sample(...)), and builds no histogram.
+attested counts, those of summarize(sample(...)), and builds no histogram;
+a trial whose true kind cannot be scored fails without a selection.
 
 numpy loads only when a simulation runs (sample_counts, sample,
 undersampling_probability, recovery_experiment), not on import.
@@ -28,7 +28,7 @@ from typing import NamedTuple
 from .histogram import RankHistogram, _summary
 from .models import ModelParams, _whole
 from .models import pmf  # noqa: F401  (bench/tracing.py counts calls through this name)
-from .selection import DEFAULT_ENSEMBLE, select
+from .selection import DEFAULT_ENSEMBLE, _check_domain, select
 
 __all__ = [
     "SimulationConfig",
@@ -40,6 +40,8 @@ __all__ = [
     "undersampling_probability",
     "recovery_experiment",
 ]
+
+_MAX_RANKS = 10 ** 6  # the largest R sample_counts draws over: one draw there peaks near 23 MB
 
 
 @dataclass(frozen=True)
@@ -89,11 +91,13 @@ def sample_counts(m: ModelParams, n: int, seed: int):
     """Draw n ranks from the model pmf; returns numpy counts per category 1..R.
 
     One multinomial draw over the R-point pmf, which the model builds in
-    O(R) once and keeps. Time and memory do not depend on n. Deterministic
-    for a fixed seed.
+    O(R) once and keeps; R may not exceed _MAX_RANKS. Time and memory do not
+    depend on n. Deterministic for a fixed seed.
     """
-    import numpy as np
     n = _draw_count(n, "n")
+    if m.R > _MAX_RANKS:
+        raise ValueError(f"simulation draws over at most {_MAX_RANKS} ranks, got R={m.R}")
+    import numpy as np
     return np.random.default_rng(seed).multinomial(n, m._probabilities)
 
 
@@ -174,8 +178,8 @@ def recovery_experiment(cfg: SimulationConfig, ensemble=None) -> RecoveryStats:
     selection. Recorded per size: the median absolute error of the true
     kind's fitted scalar, the fraction of trials where each criterion picks
     the true kind, and the fraction of undersampled trials (r_max < N).
-    Trials whose selection fails (for instance AICc undefined at tiny F0)
-    count as failures and drop out of the aggregates.
+    Trials whose true kind the criteria cannot score (AICc needs F0 > K + 1)
+    count as failures without a selection and drop out of the aggregates.
     """
     kinds = tuple(ensemble if ensemble is not None else DEFAULT_ENSEMBLE)
     true_kind = cfg.model.kind
@@ -193,15 +197,12 @@ def recovery_experiment(cfg: SimulationConfig, ensemble=None) -> RecoveryStats:
         for counts in _trial_counts(cfg.model, n, cfg.trials, cfg.seed, i_size):
             stats = _summary(sorted((float(c) for c in counts.tolist() if c), reverse=True))
             try:
+                _check_domain(true_kind.n_params, stats.F0)
                 table = select(stats, N=cfg.model.N, ensemble=kinds)
             except ValueError:
                 failures += 1
                 continue
-            row = table.row(true_kind)
-            if row.fit is None:
-                failures += 1
-                continue
-            errors.append(abs(row.fit.params.scalar - truth))
+            errors.append(abs(table.row(true_kind).fit.params.scalar - truth))
             aicc_hits += table.best_by_aicc == true_kind
             bic_hits += table.best_by_bic == true_kind
             undersampled += stats.r_max < cfg.model.N

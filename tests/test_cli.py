@@ -316,12 +316,22 @@ def test_simulate_fractional_R_or_N_is_one_line_error(tmp_path, model, named):
 
 
 def test_simulate_absurd_N_is_one_line_error(tmp_path):
-    # 10**15 ranks need 7 PiB, more than the address space: the allocation
-    # fails at once, before any memory is touched
+    # 10**15 ranks are past the 10**6 a simulation draws over, so nothing is allocated
     out = tmp_path / "s.json"
     proc = run_cli("simulate", "--mode", "undersampling", "--model", "geometric1",
                    "--q", "0.4", "--N", 10 ** 15, "--n", 10, "--out", out, cwd=tmp_path)
     one_line_error(proc)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode", [("--mode", "undersampling", "--n", 100),
+                                  ("--mode", "recovery", "--sizes", "10,100")])
+def test_simulate_large_N_is_rejected_before_it_is_allocated(tmp_path, mode):
+    # 10**9 ranks would need tens of GB; the sampler rejects R > 10**6 first
+    out = tmp_path / "s.json"
+    proc = run_cli("simulate", *mode, "--model", "geometric1", "--q", "0.4",
+                   "--N", 10 ** 9, "--out", out, cwd=tmp_path)
+    assert "at most 1000000 ranks, got R=1000000000" in one_line_error(proc)
     assert not out.exists()
 
 

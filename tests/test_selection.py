@@ -1,9 +1,13 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import rankfit.selection
+
 from rankfit import (
+    DEFAULT_ENSEMBLE,
     ModelKind,
     RankHistogram,
     aicc,
@@ -19,7 +23,9 @@ from rankfit import (
     summarize,
     weights,
 )
-from rankfit.selection import best_params_dict, best_params_tsv, selection_table_dict, selection_table_tsv
+from rankfit.histogram import _summary
+from rankfit.selection import (SelectionRow, SelectionTable, best_params_dict, best_params_tsv,
+                               selection_table_dict, selection_table_tsv)
 
 from _oracles import random_histogram
 
@@ -201,6 +207,100 @@ def test_select_tie_breaks_toward_fewer_parameters():
 
 
 # --------------------------------------------------------------- cross_apply
+
+def _reference_select(s, N, kinds):
+    """select as one fit per kind scored with aicc and bic; None where select raises."""
+    rows = []
+    for kind in kinds:
+        try:
+            fr = fit(kind, s, N)
+            rows.append(SelectionRow(kind=kind, fit=fr, loglik=fr.loglik,
+                                     aicc=aicc(fr.loglik, fr.n_params, s.F0),
+                                     bic=bic(fr.loglik, fr.n_params, s.F0)))
+        except ValueError as exc:
+            rows.append(SelectionRow(kind=kind, error=str(exc)))
+    scored = [r for r in rows if r.error is None]
+    if not scored:
+        return None
+    w_a = iter(weights([r.aicc for r in scored]))
+    w_b = iter(weights([r.bic for r in scored]))
+    min_a, min_b = min(r.aicc for r in scored), min(r.bic for r in scored)
+    rows = [replace(r, delta_aicc=r.aicc - min_a, w_aicc=next(w_a),
+                    delta_bic=r.bic - min_b, w_bic=next(w_b)) if r.error is None else r
+            for r in rows]
+    best = [min((r for r in rows if r.error is None),
+                key=lambda r: (getattr(r, score), r.kind.n_params, r.kind.value)).kind
+            for score in ("aicc", "bic")]
+    return SelectionTable(rows=tuple(rows), best_by_aicc=best[0], best_by_bic=best[1], F0=s.F0)
+
+
+def _edge_case_stats(rng, case, N):
+    """Random non-increasing frequencies for one edge case of select."""
+    r_max = {"F0<=1": int(rng.integers(1, N + 1)), "1<F0<=3": int(rng.integers(1, N + 1)),
+             "r_max=N": N, "r_max=1": 1, "r_max>N": N + 1}[case]
+    freqs = np.sort(rng.uniform(0.05, 1.0, size=r_max))[::-1]
+    if case == "F0<=1":
+        freqs *= rng.uniform(0.2, 1.0) / freqs.sum()
+    elif case == "1<F0<=3":
+        freqs *= rng.uniform(1.05, 3.0) / freqs.sum()
+    else:
+        freqs = np.round(freqs * rng.uniform(2.0, 400.0)) + 1.0
+    return _summary(sorted(freqs.tolist(), reverse=True))
+
+
+EDGE_CASES = {
+    "F0<=1": lambda s, N: s.F0 <= 1,
+    "1<F0<=3": lambda s, N: 1 < s.F0 <= 3,
+    "r_max=N": lambda s, N: s.r_max == N,
+    "r_max=1": lambda s, N: s.r_max == 1,
+    "r_max>N": lambda s, N: s.r_max > N,
+}
+SHARED_ORDER = (ModelKind.GEOMETRIC2, ModelKind.ZETA2, ModelKind.GEOMETRIC1,
+                ModelKind.ZETA1, ModelKind.GEOMETRIC2)  # 2-parameter kinds fit first, one twice
+
+
+@pytest.mark.parametrize("case", EDGE_CASES)
+def test_select_equals_one_fit_per_kind_scored_by_aicc_and_bic(case):
+    rng = np.random.default_rng(404)
+    tables = 0
+    for _ in range(12):
+        N = int(rng.choice([2, 3, 5, 24, 200]))
+        s = _edge_case_stats(rng, case, N)
+        assert EDGE_CASES[case](s, N)
+        for kinds in (DEFAULT_ENSEMBLE, SHARED_ORDER):
+            ref = _reference_select(s, N, kinds)
+            if ref is None:
+                with pytest.raises(ValueError, match="no ensemble member"):
+                    select(s, N=N, ensemble=kinds)
+                continue
+            table = select(s, N=N, ensemble=kinds)
+            tables += 1
+            assert table == ref
+            assert [r.error for r in table.rows] == [r.error for r in ref.rows]
+            assert [r.fit and r.fit.as_dict() for r in table.rows] == \
+                [r.fit and r.fit.as_dict() for r in ref.rows]
+            assert selection_table_dict(table) == selection_table_dict(ref)
+            assert selection_table_tsv(table) == selection_table_tsv(ref)
+            assert best_params_dict(table) == best_params_dict(ref)
+    assert (tables == 0) == (case in ("F0<=1", "r_max>N"))
+
+
+@pytest.mark.parametrize("freqs, N, fits", [
+    ([float(r) for r in range(24, 0, -1)], 24, 2),  # r_max = N: one fit per family
+    ([9.0, 5.0, 2.0], 3, 2),                         # r_max = N below the default ceiling
+    ([2.0, 1.0], 24, 2),                             # F0 = 3: no 2-parameter row is scorable
+    ([1.5, 1.0, 0.5], 24, 2),                        # F0 = 3 with r_max = 3
+    ([9.0, 5.0, 2.0, 1.0], 24, 4),                   # four distinct (family, R) pairs
+])
+def test_select_fits_each_scorable_family_and_R_once_per_call(freqs, N, fits, monkeypatch):
+    calls = []
+    monkeypatch.setattr(rankfit.selection, "fit", lambda *a: calls.append(a) or fit(*a))
+    s = summarize(RankHistogram.from_frequencies(freqs))
+    for _ in range(2):  # nothing is kept from one call to the next
+        calls.clear()
+        select(s, N=N)
+        assert len(calls) == fits
+
 
 def test_cross_apply_zero_likelihood_on_wider_dataset():
     h17 = RankHistogram.from_frequencies(list(range(17, 0, -1)))

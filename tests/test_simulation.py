@@ -6,12 +6,14 @@ import pytest
 from scipy.stats import chi2
 
 import rankfit.models
+import rankfit.selection
 import rankfit.simulation
 from rankfit import (
     ModelKind,
     ModelParams,
     RankHistogram,
     SimulationConfig,
+    fit,
     geometric1,
     geometric2,
     pmf,
@@ -25,6 +27,7 @@ from rankfit import (
     zeta2,
 )
 
+from rankfit.histogram import _summary
 from rankfit.simulation import _child_seed
 
 from _oracles import prob_all_attested
@@ -110,6 +113,20 @@ def test_sample_counts_memory_does_not_grow_with_n():
     assert counts.shape == (24,)
     assert int(counts.sum()) == 10 ** 12
     assert peak < 64 * 1024
+
+
+def test_sample_counts_rejects_R_past_the_limit_before_allocating():
+    m = geometric1(0.4, 10 ** 9)
+    tracemalloc.start()
+    try:
+        for draw in (sample_counts, sample):
+            with pytest.raises(ValueError, match=r"at most 1000000 ranks, got R=1000000000"):
+                draw(m, 10, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert int(sample_counts(geometric1(0.4, 10 ** 6), 10, seed=1).sum()) == 10
 
 
 @pytest.mark.parametrize("n", [0, -3, 150.5, 0.5, math.inf, -math.inf, math.nan,
@@ -223,17 +240,34 @@ def test_recovery_builds_no_histogram(monkeypatch):
 
 @pytest.mark.parametrize("N", [1, 24, 200])
 def test_recovery_trial_stats_are_those_of_the_sampled_histogram(N, monkeypatch):
-    seen = []
+    built, selected = [], []
+    monkeypatch.setattr(rankfit.simulation, "_summary",
+                        lambda freqs: built.append(_summary(freqs)) or built[-1])
     monkeypatch.setattr(rankfit.simulation, "select",
-                        lambda s, **kw: seen.append(s) or select(s, **kw))
+                        lambda s, **kw: selected.append(s) or select(s, **kw))
     sizes = (1, 7, 300, 10 ** 6)
     for m in (zeta1(1.1, N), zeta2(0.9, max(1, N // 2), N),
               geometric1(0.3, N), geometric2(0.2, max(1, N - 1), N)):
-        seen.clear()
+        built.clear()
+        selected.clear()
         recovery_experiment(SimulationConfig(seed=13, trials=3, sample_sizes=sizes, model=m))
         expected = [summarize(sample(m, n, _child_seed(13, i, t)))
                     for i, n in enumerate(sizes) for t in range(3)]
-        assert [s.as_dict() for s in seen] == [s.as_dict() for s in expected]
+        assert [s.as_dict() for s in built] == [s.as_dict() for s in expected]
+        # select sees exactly the trials whose true kind AICc can score (F0 > K + 1)
+        scorable = [s for s in built if s.F0 > m.kind.n_params + 1]
+        assert 0 < len(scorable) < len(built)
+        assert list(map(id, selected)) == list(map(id, scorable))
+
+
+def test_recovery_skips_select_when_the_true_kind_cannot_be_scored(monkeypatch):
+    # zeta2 at 3 draws: F0 = 3 <= K + 1, so AICc cannot score the true kind
+    calls = []
+    monkeypatch.setattr(rankfit.selection, "fit", lambda *a: calls.append(a) or fit(*a))
+    cfg = SimulationConfig(seed=11, trials=5, sample_sizes=(3,), model=zeta2(1.0, 10))
+    (row,) = recovery_experiment(cfg).per_size
+    assert calls == []
+    assert row.failures == 5
 
 
 def test_recovery_requires_true_kind_in_ensemble():
