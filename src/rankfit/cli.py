@@ -1,8 +1,9 @@
 """Command-line interface: summarize, fit, select, diagnose, simulate, cross-apply.
 
-Every command writes its primary outputs plus a run manifest recording the
-command, input digests, parameters and produced files. Outputs are fully
-determined by inputs and flags, so reruns are byte-identical.
+Every command writes its primary outputs and returns what it read and wrote;
+``main`` then writes the run manifest (command, input digests, parameters and
+produced files) and is the one place a failure becomes an ``error:`` line.
+Outputs are fully determined by inputs and flags, so reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -35,9 +36,8 @@ DEFAULT_SEED = 12345
 KIND_NAMES = tuple(k.value for k in ModelKind)
 
 
-def _die(message: str, code: int = 1):
-    print(f"error: {message}", file=sys.stderr)
-    sys.exit(code)
+class _UsageError(ValueError):
+    """A bad flag or setting, stated in full: simulate adds no configuration prefix."""
 
 
 def _sha256(path: str) -> str:
@@ -58,16 +58,20 @@ def _write_json(obj, path: Path) -> str:
     return text
 
 
-def _write_manifest(path: Path, command: str, inputs: list[str],
-                    parameters: dict, outputs: list[Path]):
-    manifest = {
-        "command": command,
+def _write_manifest(args, inputs: list[str], outputs: list[Path], parameters=None):
+    """Write run_manifest.json in --out-dir, or else <out>.manifest.json; its
+    parameters are the parsed flags unless the command passes its own."""
+    path = (Path(args.out_dir, "run_manifest.json") if hasattr(args, "out_dir")
+            else Path(f"{Path(args.out)}.manifest.json"))
+    if parameters is None:
+        parameters = {k: v for k, v in vars(args).items() if k not in ("command", "func")}
+    _write_json({
+        "command": args.command,
         "inputs": [{"path": p, "sha256": _sha256(p)} for p in inputs],
         "parameters": parameters,
         "version": __version__,
         "outputs": [str(p) for p in outputs],
-    }
-    _write_json(manifest, path)
+    }, path)
 
 
 def _parse_input(args) -> RankHistogram:
@@ -85,24 +89,21 @@ def _ensemble(names) -> tuple:
     for name in names.split(",") if isinstance(names, str) else names:
         name = str(name).strip()
         if name not in KIND_NAMES:
-            _die(f"unknown model kind {name!r}; valid kinds: {', '.join(KIND_NAMES)}")
+            raise _UsageError(f"unknown model kind {name!r}; "
+                              f"valid kinds: {', '.join(KIND_NAMES)}")
         kinds.append(ModelKind(name))
     return tuple(kinds)
 
 
-def cmd_summarize(args) -> int:
-    hist = _parse_input(args)
-    stats = summarize(hist).as_dict()
+def cmd_summarize(args):
+    stats = summarize(_parse_input(args)).as_dict()
     out = Path(args.out)
     text = _write_json(stats, out)
     sys.stdout.write(tsv(stats, [stats.values()]) if args.format == "tsv" else text)
-    _write_manifest(Path(str(out) + ".manifest.json"), "summarize", [args.input],
-                    {"input": args.input, "delimiter": args.delimiter,
-                     "format": args.format, "out": str(out)}, [out])
-    return 0
+    return [args.input], [out]
 
 
-def cmd_fit(args) -> int:
+def cmd_fit(args):
     hist = _parse_input(args)
     result = fit(ModelKind(args.model), hist, N=args.N)
     out = Path(args.out)
@@ -112,13 +113,10 @@ def cmd_fit(args) -> int:
           f"loglik={result.loglik!r} converged={result.converged}")
     for note in result.warnings:
         print(f"note: {note}", file=sys.stderr)
-    _write_manifest(Path(str(out) + ".manifest.json"), "fit", [args.input],
-                    {"input": args.input, "model": args.model, "N": args.N,
-                     "delimiter": args.delimiter, "out": str(out)}, [out])
-    return 0
+    return [args.input], [out]
 
 
-def cmd_select(args) -> int:
+def cmd_select(args):
     hist = _parse_input(args)
     table = select(hist, N=args.N, ensemble=_ensemble(args.ensemble))
     out_dir = Path(args.out_dir)
@@ -133,14 +131,10 @@ def cmd_select(args) -> int:
     sys.stdout.write(outputs[f"selection.{args.format}"])
     print(f"best by AICc: {table.best_by_aicc.value}", file=sys.stderr)
     print(f"best by BIC:  {table.best_by_bic.value}", file=sys.stderr)
-    _write_manifest(out_dir / "run_manifest.json", "select", [args.input],
-                    {"input": args.input, "N": args.N, "ensemble": args.ensemble,
-                     "delimiter": args.delimiter, "format": args.format,
-                     "out_dir": str(out_dir)}, [out_dir / name for name in outputs])
-    return 0
+    return [args.input], [out_dir / name for name in outputs]
 
 
-def cmd_diagnose(args) -> int:
+def cmd_diagnose(args):
     hist = _parse_input(args)
     s = summarize(hist)
     fits = [fit(k, s, N=args.N) for k in _ensemble(args.ensemble)]
@@ -149,11 +143,7 @@ def cmd_diagnose(args) -> int:
     files = emit_plot_data(hist, fits, out_dir)
     report_path = out_dir / "diagnostic_report.json"
     sys.stdout.write(_write_json(report.as_dict(), report_path))
-    _write_manifest(out_dir / "run_manifest.json", "diagnose", [args.input],
-                    {"input": args.input, "N": args.N, "margin": args.margin,
-                     "ensemble": args.ensemble, "delimiter": args.delimiter,
-                     "out_dir": str(out_dir)}, files + [report_path])
-    return 0
+    return [args.input], files + [report_path]
 
 
 def _simulation_settings(args) -> dict:
@@ -175,67 +165,57 @@ def _simulation_settings(args) -> dict:
     return settings
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args):
     try:
         settings = _simulation_settings(args)
         if settings["model"]["kind"] is None:
-            _die("simulate needs --model (or a model in the --config file)")
+            raise _UsageError("simulate needs --model (or a model in the --config file)")
         mode, n = settings["mode"], settings["n"]
         model = ModelParams.from_dict(settings["model"])
         seed = _whole(settings["seed"], "seed", 0, 2 ** 64)
         trials = _whole(settings["trials"], "trials", 1, 2 ** 63)
         sizes = None if settings["sample_sizes"] is None else tuple(settings["sample_sizes"])
         ensemble = _ensemble(settings["ensemble"])
+    except _UsageError:
+        raise
     except (ValueError, KeyError, TypeError, OverflowError) as exc:
-        _die(f"bad simulation configuration: {exc}")
+        raise ValueError(f"bad simulation configuration: {exc}") from None
 
     if mode == "undersampling":
         if n is None:
-            _die("undersampling mode needs --n (draws per trial)")
+            raise ValueError("undersampling mode needs --n (draws per trial)")
         n, sizes = _draw_count(n, "n"), None
         est = undersampling_probability(model, n, trials, seed)
         payload = {"mode": "undersampling", "model": model.as_dict(), "n": n,
                    "trials": trials, "seed": seed, **est._asdict()}
     elif mode == "recovery":
         if not sizes:
-            _die("recovery mode needs --sizes (comma-separated draw counts)")
+            raise ValueError("recovery mode needs --sizes (comma-separated draw counts)")
         cfg = SimulationConfig(seed=seed, trials=trials, sample_sizes=sizes, model=model)
         n, sizes = None, cfg.sample_sizes
         stats = recovery_experiment(cfg, ensemble=ensemble)
         payload = {"mode": "recovery", **stats.as_dict()}
     else:
-        _die(f"unknown simulate mode {mode!r}")
+        raise ValueError(f"unknown simulate mode {mode!r}")
     out = Path(args.out)
     sys.stdout.write(_write_json(payload, out))
-    _write_manifest(Path(str(out) + ".manifest.json"), "simulate",
-                    [args.config] if args.config else [],
-                    {"mode": mode, "model": model.as_dict(), "seed": seed,
-                     "trials": trials, "sizes": sizes, "n": n,
-                     "out": str(out)}, [out])
-    return 0
+    return [args.config] if args.config else [], [out], {
+        "mode": mode, "model": model.as_dict(), "seed": seed, "trials": trials,
+        "sizes": sizes, "n": n, "out": args.out}
 
 
-def cmd_cross_apply(args) -> int:
+def cmd_cross_apply(args):
     fit_path = Path(args.fit)
     stored = read_json_object(fit_path)
     try:
         fitted = FitResult.from_dict(stored)
     except (ValueError, KeyError, TypeError) as exc:
-        _die(f"unreadable fit file {fit_path}: {exc}")
-    hist = _parse_input(args)
-    value = cross_apply(fitted, hist)
-    payload = {
-        "fit": fitted.params.as_dict(),
-        "input": args.input,
-        **_loglik_json(value),
-    }
+        raise ValueError(f"unreadable fit file {fit_path}: {exc}") from None
+    payload = {"fit": fitted.params.as_dict(), "input": args.input,
+               **_loglik_json(cross_apply(fitted, _parse_input(args)))}
     out = Path(args.out)
     sys.stdout.write(_write_json(payload, out))
-    _write_manifest(Path(str(out) + ".manifest.json"), "cross-apply",
-                    [str(fit_path), args.input],
-                    {"fit": str(fit_path), "input": args.input,
-                     "delimiter": args.delimiter, "out": str(out)}, [out])
-    return 0
+    return [str(fit_path), args.input], [out]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -314,9 +294,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        _write_manifest(args, *args.func(args))
     except (OSError, ValueError, MemoryError) as exc:
-        _die(str(exc))
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(1)
+    return 0
 
 
 if __name__ == "__main__":

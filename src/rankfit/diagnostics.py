@@ -149,6 +149,8 @@ def diagnose(hist: RankHistogram, fits, margin: float = DEFAULT_R2_MARGIN) -> Di
     case, inconclusive otherwise. Slope predictions come from the best
     geometric fit (log(1-q)) and the best zeta fit (-alpha) supplied.
     """
+    if not math.isfinite(margin):
+        raise ValueError(f"margin must be a finite number, got {margin!r}")
     geo = _pick(fits, want_geometric=True)
     zet = _pick(fits, want_geometric=False)
     linlog = slope_fit(transform_series(hist, Scale.LINEAR_LOG))

@@ -45,6 +45,8 @@ __all__ = [
 
 DEFAULT_DOMAIN_CEILING = 24
 
+_MAX_RANKS = 10 ** 6  # the largest R harmonic sums and sample_counts draws over
+
 ALPHA_INTERVAL = (0.0, 1.0e6)
 Q_INTERVAL = (1e-9, 1.0 - 1e-9)
 
@@ -99,7 +101,9 @@ class ModelParams:
         if self.kind.is_zeta:
             if self.q is not None:
                 raise ValueError("zeta kinds take alpha, not q")
-            if self.alpha is None or not (math.isfinite(self.alpha) and self.alpha >= 0):
+            # a bool passes as 0 or 1 (a JSON true); a bool q is out of range already
+            if self.alpha is None or isinstance(self.alpha, bool) or not (
+                    math.isfinite(self.alpha) and self.alpha >= 0):
                 raise ValueError("alpha must be a finite real >= 0")
         else:
             if self.alpha is not None:
@@ -141,7 +145,7 @@ def _whole(value, name: str, lo: int, hi: int) -> int:
         whole = int(value)  # inf, nan and None fail here, named by Python's own message
     except (TypeError, OverflowError) as exc:
         raise ValueError(str(exc)) from exc
-    if whole != value or not lo <= whole < hi:
+    if isinstance(value, bool) or whole != value or not lo <= whole < hi:
         raise ValueError(f"{name} must be a whole number from {lo} to {hi - 1}, got {value!r}")
     return whole
 
@@ -169,9 +173,12 @@ def harmonic(alpha: float, R: int) -> float:
     fsum keeps the result exactly rounded either way. Once (R - 1) * 2**-alpha
     <= 2**-54 (alpha >= about 54 + log2(R - 1)) the terms below rank 1 total
     under half an ulp of 1 (factor 2 spare for pow rounding), so 1.0 is exact.
+    R may not exceed _MAX_RANKS, so no sum costs more than 10**6 terms.
     """
     if R < 1:
         raise ValueError("R must be >= 1")
+    if R > _MAX_RANKS:
+        raise ValueError(f"the zeta normalizer sums at most {_MAX_RANKS} ranks, got R={R}")
     if not (math.isfinite(alpha) and alpha >= 0):
         raise ValueError("alpha must be a finite real >= 0")
     if (R - 1) * 2.0 ** -alpha <= 2.0 ** -54:

@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 from .histogram import RankHistogram, _summary
-from .models import ModelParams, _whole
+from .models import _MAX_RANKS, ModelParams, _whole
 from .models import pmf  # noqa: F401  (bench/tracing.py counts calls through this name)
 from .selection import DEFAULT_ENSEMBLE, _check_domain, select
 
@@ -40,9 +40,6 @@ __all__ = [
     "undersampling_probability",
     "recovery_experiment",
 ]
-
-_MAX_RANKS = 10 ** 6  # the largest R sample_counts draws over: one draw there peaks near 23 MB
-
 
 @dataclass(frozen=True)
 class SimulationConfig:
@@ -82,7 +79,8 @@ def _child_seed(seed: int, *key: int) -> int:
 
 def _draw_count(n, name: str) -> int:
     """n as an int; ValueError unless it is a whole number in [1, 2**63 - 1]."""
-    if not (isinstance(n, numbers.Real) and 1 <= n < 2 ** 63 and n == int(n)):
+    if isinstance(n, bool) or not (
+            isinstance(n, numbers.Real) and 1 <= n < 2 ** 63 and n == int(n)):
         raise ValueError(f"{name} must be a whole number from 1 to 2**63 - 1, got {n!r}")
     return int(n)
 
@@ -91,8 +89,9 @@ def sample_counts(m: ModelParams, n: int, seed: int):
     """Draw n ranks from the model pmf; returns numpy counts per category 1..R.
 
     One multinomial draw over the R-point pmf, which the model builds in
-    O(R) once and keeps; R may not exceed _MAX_RANKS. Time and memory do not
-    depend on n. Deterministic for a fixed seed.
+    O(R) once and keeps; R may not exceed _MAX_RANKS (one draw there peaks
+    near 23 MB). Time and memory do not depend on n. Deterministic for a
+    fixed seed.
     """
     n = _draw_count(n, "n")
     if m.R > _MAX_RANKS:

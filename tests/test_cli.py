@@ -1,5 +1,8 @@
+import hashlib
 import json
 import math
+import shlex
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +14,7 @@ import rankfit.estimation
 import rankfit.selection
 from conftest import cli_env
 from rankfit._io import json_text
-from rankfit.cli import _write_json, main
+from rankfit.cli import _write_json, build_parser, main
 
 REPO = Path(__file__).resolve().parent.parent
 DEMO = REPO / "data" / "demo_synthetic.tsv"
@@ -290,6 +293,9 @@ def test_simulate_rejects_zero_trials(tmp_path):
     (3, 7.9, "seed must"),
     (3, 2 ** 64, "seed must"),
     (3, -1, "seed must"),
+    (True, 7, "trials must"),  # JSON true and false are Python's 1 and 0
+    (3, False, "seed must"),
+    (True, False, "seed must"),
 ])
 def test_simulate_trials_and_seed_must_be_whole(tmp_path, trials, seed, named):
     cfg_path = tmp_path / "cfg.json"
@@ -463,7 +469,10 @@ def test_json_output_is_strict(tmp_path, value):
     (("--mode", "recovery", "--sizes", "100,150.5"), None, "sample sizes must"),
     ((), {"mode": "undersampling", "n": math.inf}, "n must"),
     ((), {"mode": "undersampling", "n": 50, "trials": math.inf}, "infinity"),
-], ids=["n-1e20", "sizes-inf", "sizes-fraction", "config-n-inf", "config-trials-inf"])
+    ((), {"mode": "undersampling", "n": True}, "n must"),
+    (("--mode", "recovery"), {"sample_sizes": [True]}, "sample sizes must"),
+], ids=["n-1e20", "sizes-inf", "sizes-fraction", "config-n-inf", "config-trials-inf",
+        "config-n-true", "config-sizes-true"])
 def test_simulate_bad_draw_count_is_one_line_error(tmp_path, flags, config, named):
     args = ["simulate", "--model", "geometric1", "--q", "0.4", "--trials", 5, *flags]
     if config is not None:
@@ -474,3 +483,106 @@ def test_simulate_bad_draw_count_is_one_line_error(tmp_path, flags, config, name
     proc = run_cli(*args, "--out", out, cwd=tmp_path)
     assert named in one_line_error(proc)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("model, named", [
+    ({"kind": "zeta1", "R": 24, "N": 24, "alpha": True}, "alpha must be"),
+    ({"kind": "geometric1", "R": 24, "N": 24, "q": True}, "q must"),
+    ({"kind": "geometric2", "R": True, "N": 24, "q": 0.4}, "R must be a whole number"),
+])
+def test_simulate_boolean_model_values_are_one_line_errors(tmp_path, model, named):
+    # JSON true is Python's 1, which would otherwise run as alpha = 1 or R = 1
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"mode": "undersampling", "n": 10, "trials": 2,
+                                    "model": model}), encoding="utf-8")
+    out = tmp_path / "s.json"
+    proc = run_cli("simulate", "--config", cfg_path, "--out", out, cwd=tmp_path)
+    assert named in one_line_error(proc)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("config, line", [
+    ({"ensemble": ["zeta1", "bogus"]},
+     "error: unknown model kind 'bogus'; valid kinds: zeta1, zeta2, geometric1, geometric2"),
+    ({"ensemble": 5}, "error: bad simulation configuration: 'int' object is not iterable"),
+    ({"model": {"kind": None}, "seed": "x"},
+     "error: simulate needs --model (or a model in the --config file)"),
+    ({"mode": "other"}, "error: unknown simulate mode 'other'"),
+], ids=["unknown-kind", "ensemble-not-a-list", "no-model", "unknown-mode"])
+def test_simulate_error_lines_are_prefixed_only_for_unreadable_settings(tmp_path, config, line):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config), encoding="utf-8")
+    proc = run_cli("simulate", "--model", "geometric1", "--q", "0.4", "--sizes", "10",
+                   "--config", cfg_path, "--out", tmp_path / "s.json", cwd=tmp_path)
+    assert one_line_error(proc) == line
+
+
+@pytest.mark.parametrize("margin", ["nan", "inf", "-inf"])
+def test_diagnose_non_finite_margin_fails_before_any_output(tmp_path, margin):
+    out_dir = tmp_path / "diag"
+    proc = run_cli("diagnose", "--input", DEMO, f"--margin={margin}", "--out-dir", out_dir,
+                   cwd=tmp_path)
+    assert "margin must be a finite number" in one_line_error(proc)
+    assert not out_dir.exists()
+
+
+def test_zeta1_past_a_million_ranks_fails_at_once_and_select_keeps_the_other_rows(tmp_path):
+    out = tmp_path / "fit.json"
+    proc = run_cli("fit", "--input", DEMO, "--model", "zeta1", "--N", 10 ** 9, "--out", out,
+                   cwd=tmp_path)
+    assert "at most 1000000 ranks, got R=1000000000" in one_line_error(proc)
+    assert not out.exists()
+    proc = run_cli("select", "--input", DEMO, "--N", 10 ** 9, "--out-dir", tmp_path / "sel",
+                   cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    table = json.loads((tmp_path / "sel" / "selection.json").read_text())
+    rows = {r["model"]: r for r in table["rows"]}
+    assert "at most 1000000 ranks, got R=1000000000" in rows["zeta1"]["error"]
+    assert [rows[k]["error"] for k in ("zeta2", "geometric1", "geometric2")] == [None] * 3
+
+
+def readme_cli_commands() -> list[list[str]]:
+    """The argument lists of the README's `## CLI` block, one per command."""
+    text = (REPO / "README.md").read_text(encoding="utf-8")
+    block = text.split("## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.replace("\\\n", " ").splitlines()]
+
+
+def files_under(root: Path) -> set:
+    return {p for p in root.rglob("*") if p.is_file()}
+
+
+def test_every_readme_command_writes_one_manifest_of_its_run(tmp_path):
+    (tmp_path / "data").mkdir()
+    shutil.copy(DEMO, tmp_path / "data" / DEMO.name)
+    commands = [["data/demo_synthetic.tsv" if a == "other.tsv" else a for a in argv]
+                for argv in readme_cli_commands()]
+    assert {argv[0] for argv in commands} == {"summarize", "fit", "select", "diagnose",
+                                              "cross-apply", "simulate"}
+    for argv in commands:
+        args = build_parser().parse_args(argv)
+        before = files_under(tmp_path)
+        proc = run_cli(*argv, cwd=tmp_path)
+        assert proc.returncode == 0, (argv, proc.stderr)
+        where = (Path(args.out_dir, "run_manifest.json") if hasattr(args, "out_dir")
+                 else Path(args.out + ".manifest.json"))
+        manifest = json.loads((tmp_path / where).read_text())
+        # the one run manifest lists every other file the run wrote, and only those
+        written = {tmp_path / p for p in manifest["outputs"]} | {tmp_path / where}
+        assert files_under(tmp_path) - before == written, argv
+        assert not [p for p in manifest["outputs"]
+                    if p.endswith(("run_manifest.json", ".manifest.json"))], argv
+        assert manifest["command"] == argv[0]
+        read = [getattr(args, k) for k in ("fit", "input", "config") if getattr(args, k, None)]
+        assert [i["path"] for i in manifest["inputs"]] == read
+        for i in manifest["inputs"]:
+            assert i["sha256"] == hashlib.sha256((tmp_path / i["path"]).read_bytes()).hexdigest()
+        if argv[0] == "simulate":  # the checked settings it ran with, as the output states them
+            model = {"kind": args.model, "R": args.N, "N": args.N, "q": args.q}
+            assert json.loads((tmp_path / args.out).read_text())["model"] == model
+            expected = {"mode": args.mode, "model": model, "seed": args.seed,
+                        "trials": args.trials, "n": args.n, "out": args.out,
+                        "sizes": args.sizes and [int(s) for s in args.sizes.split(",")]}
+        else:
+            expected = {k: v for k, v in vars(args).items() if k not in ("command", "func")}
+        assert manifest["parameters"] == expected, argv

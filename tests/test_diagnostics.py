@@ -148,6 +148,13 @@ def test_diagnose_needs_both_families():
         diagnose(h, only_geo)
 
 
+@pytest.mark.parametrize("margin", [math.nan, math.inf, -math.inf])
+def test_diagnose_rejects_a_non_finite_margin(margin):
+    h = parse_dataset(DEMO.read_text(encoding="utf-8"))
+    with pytest.raises(ValueError, match=f"margin must be a finite number, got {margin!r}"):
+        diagnose(h, [fit(k, h) for k in ModelKind], margin=margin)
+
+
 def test_diagnose_sampled_geometric_data():
     hits = 0
     for seed in range(100):

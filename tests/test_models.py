@@ -220,9 +220,29 @@ def test_model_params_json_round_trip():
 def test_model_params_from_dict_takes_whole_numbers_only():
     d = {"kind": "zeta2", "R": 10.0, "N": 24.0, "alpha": 1.5}
     assert ModelParams.from_dict(d) == zeta2(1.5, 10)
-    for key, value in (("R", 10.7), ("N", 24.9), ("R", "10"), ("N", math.inf)):
+    for key, value in (("R", 10.7), ("N", 24.9), ("R", "10"), ("N", math.inf), ("R", True)):
         with pytest.raises(ValueError):
             ModelParams.from_dict({**d, key: value})
+
+
+@pytest.mark.parametrize("kind, scalar", [("zeta1", {"alpha": True}), ("zeta2", {"alpha": False}),
+                                          ("geometric1", {"q": True}),
+                                          ("geometric2", {"q": False})])
+def test_model_params_reject_a_boolean_scalar(kind, scalar):
+    # a JSON true or false would otherwise pass as the number 1 or 0
+    with pytest.raises(ValueError, match=next(iter(scalar))):
+        ModelParams(kind=kind, R=24, N=24, **scalar)
+
+
+def test_harmonic_rejects_more_than_a_million_ranks_before_summing():
+    # alpha = 1e6 would take the 1.0 short-cut at any R; the limit comes first
+    for alpha, R in ((1.0, 10 ** 6 + 1), (0.0, 10 ** 9), (1e6, 10 ** 9)):
+        with pytest.raises(ValueError, match=f"at most 1000000 ranks, got R={R}$"):
+            harmonic(alpha, R)
+    # the limit itself still sums: H(1, n) = log n + gamma + 1/(2n) - 1/(12n**2) + ...
+    n = 10 ** 6
+    euler_gamma = 0.5772156649015329
+    assert harmonic(1.0, n) == pytest.approx(math.log(n) + euler_gamma + 0.5 / n, rel=1e-13)
 
 
 def test_scalar_property():

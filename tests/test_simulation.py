@@ -130,7 +130,7 @@ def test_sample_counts_rejects_R_past_the_limit_before_allocating():
 
 
 @pytest.mark.parametrize("n", [0, -3, 150.5, 0.5, math.inf, -math.inf, math.nan,
-                               2 ** 63, 10 ** 20, "100", None])
+                               2 ** 63, 10 ** 20, "100", None, True])
 def test_bad_draw_counts_are_value_errors(n):
     m = geometric1(0.4, 24)
     with pytest.raises(ValueError, match="whole number"):
@@ -162,7 +162,8 @@ def test_undersampling_rejects_bad_trials():
         undersampling_probability(geometric1(0.5, 24), 10, trials=0, seed=1)
 
 
-@pytest.mark.parametrize("trials, seed", [(2.5, 1), (4, 1.5), (4, -1), (4, 2 ** 64)])
+@pytest.mark.parametrize("trials, seed", [(2.5, 1), (4, 1.5), (4, -1), (4, 2 ** 64),
+                                         (True, 1), (4, False)])
 def test_undersampling_trials_and_seed_must_be_whole(trials, seed):
     with pytest.raises(ValueError, match="must be a whole number"):
         undersampling_probability(geometric1(0.5, 24), 30, trials=trials, seed=seed)
@@ -179,7 +180,7 @@ def test_undersampling_non_numbers_are_value_errors(name, bad):
         assert str(caught.value) == str(caught.value.__cause__)
 
 
-@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, None])
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, None, True, False])
 @pytest.mark.parametrize("name", ["trials", "seed"])
 def test_simulation_config_non_numbers_are_value_errors(name, bad):
     settings = {"trials": 4, "seed": 1, name: bad}
