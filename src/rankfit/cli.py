@@ -19,7 +19,7 @@ from ._io import json_text, read_json_object, read_text, tsv, write_text
 from .diagnostics import DEFAULT_R2_MARGIN, diagnose, emit_plot_data
 from .estimation import FitResult, fit
 from .histogram import RankHistogram, parse_dataset, summarize
-from .models import DEFAULT_DOMAIN_CEILING, ModelKind, ModelParams, _whole
+from .models import DEFAULT_DOMAIN_CEILING, ModelKind, ModelParams
 from .selection import (
     DEFAULT_ENSEMBLE,
     best_params_dict,
@@ -29,8 +29,7 @@ from .selection import (
     selection_table_dict,
     selection_table_tsv,
 )
-from .simulation import (SimulationConfig, _draw_count, recovery_experiment,
-                         undersampling_probability)
+from .simulation import SimulationConfig, recovery_experiment, undersampling_probability
 
 DEFAULT_SEED = 12345
 KIND_NAMES = tuple(k.value for k in ModelKind)
@@ -82,8 +81,9 @@ def _parse_input(args) -> RankHistogram:
 
 
 def _ensemble(names) -> tuple:
-    """Model kinds from a comma-separated --ensemble value or a config list."""
-    if not names:
+    """Model kinds from a comma-separated --ensemble value or a config list;
+    only an absent value means the default ensemble."""
+    if names is None:
         return DEFAULT_ENSEMBLE
     kinds = []
     for name in names.split(",") if isinstance(names, str) else names:
@@ -170,10 +170,8 @@ def cmd_simulate(args):
         settings = _simulation_settings(args)
         if settings["model"]["kind"] is None:
             raise _UsageError("simulate needs --model (or a model in the --config file)")
-        mode, n = settings["mode"], settings["n"]
+        mode, n, seed, trials = (settings[k] for k in ("mode", "n", "seed", "trials"))
         model = ModelParams.from_dict(settings["model"])
-        seed = _whole(settings["seed"], "seed", 0, 2 ** 64)
-        trials = _whole(settings["trials"], "trials", 1, 2 ** 63)
         sizes = None if settings["sample_sizes"] is None else tuple(settings["sample_sizes"])
         ensemble = _ensemble(settings["ensemble"])
     except _UsageError:
@@ -181,27 +179,26 @@ def cmd_simulate(args):
     except (ValueError, KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"bad simulation configuration: {exc}") from None
 
+    # run: the checked settings, which the output and the manifest both record
     if mode == "undersampling":
         if n is None:
             raise ValueError("undersampling mode needs --n (draws per trial)")
-        n, sizes = _draw_count(n, "n"), None
-        est = undersampling_probability(model, n, trials, seed)
-        payload = {"mode": "undersampling", "model": model.as_dict(), "n": n,
-                   "trials": trials, "seed": seed, **est._asdict()}
+        results = undersampling_probability(model, n, trials, seed)._asdict()
+        # it took n, trials and seed only as whole numbers, so int() is exact
+        run = {"mode": mode, "model": model.as_dict(), "n": int(n), "trials": int(trials),
+               "seed": int(seed)}
     elif mode == "recovery":
         if not sizes:
             raise ValueError("recovery mode needs --sizes (comma-separated draw counts)")
-        cfg = SimulationConfig(seed=seed, trials=trials, sample_sizes=sizes, model=model)
-        n, sizes = None, cfg.sample_sizes
-        stats = recovery_experiment(cfg, ensemble=ensemble)
-        payload = {"mode": "recovery", **stats.as_dict()}
+        cfg = SimulationConfig(seed=seed, trials=trials, sample_sizes=sizes, model=model,
+                               ensemble=ensemble)
+        results = recovery_experiment(cfg).as_dict()
+        run = {"mode": mode, **cfg.as_dict()}
     else:
         raise ValueError(f"unknown simulate mode {mode!r}")
     out = Path(args.out)
-    sys.stdout.write(_write_json(payload, out))
-    return [args.config] if args.config else [], [out], {
-        "mode": mode, "model": model.as_dict(), "seed": seed, "trials": trials,
-        "sizes": sizes, "n": n, "out": args.out}
+    sys.stdout.write(_write_json({**run, **results}, out))
+    return [args.config] if args.config else [], [out], {**run, "out": args.out}
 
 
 def cmd_cross_apply(args):

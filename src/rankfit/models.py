@@ -18,6 +18,7 @@ them is stated once, in the record that ModelKind.family returns.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -140,14 +141,13 @@ class ModelParams:
 
 
 def _whole(value, name: str, lo: int, hi: int) -> int:
-    """value as an int; ValueError unless it is a whole number in [lo, hi)."""
-    try:
-        whole = int(value)  # inf, nan and None fail here, named by Python's own message
-    except (TypeError, OverflowError) as exc:
-        raise ValueError(str(exc)) from exc
-    if isinstance(value, bool) or whole != value or not lo <= whole < hi:
+    """value as an int; ValueError naming the setting unless it is a whole
+    number in [lo, hi). The range test runs before int(), so inf and nan fail
+    it with that message, not with int()'s."""
+    if isinstance(value, bool) or not (
+            isinstance(value, numbers.Real) and lo <= value < hi and value == int(value)):
         raise ValueError(f"{name} must be a whole number from {lo} to {hi - 1}, got {value!r}")
-    return whole
+    return int(value)
 
 
 def zeta1(alpha: float, N: int = DEFAULT_DOMAIN_CEILING) -> ModelParams:

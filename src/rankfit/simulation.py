@@ -20,13 +20,12 @@ undersampling_probability, recovery_experiment), not on import.
 from __future__ import annotations
 
 import math
-import numbers
 import statistics
 from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 from .histogram import RankHistogram, _summary
-from .models import _MAX_RANKS, ModelParams, _whole
+from .models import _MAX_RANKS, ModelKind, ModelParams, _whole
 from .models import pmf  # noqa: F401  (bench/tracing.py counts calls through this name)
 from .selection import DEFAULT_ENSEMBLE, _check_domain, select
 
@@ -43,12 +42,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    """One recovery experiment: a true model, trial count and sample sizes."""
+    """One recovery experiment: a true model, trial count, sample sizes and
+    the ensemble selected from, which must contain the true kind."""
 
     seed: int
     trials: int
     sample_sizes: tuple[int, ...]
     model: ModelParams
+    ensemble: tuple[ModelKind, ...] = DEFAULT_ENSEMBLE
 
     def __post_init__(self):
         object.__setattr__(self, "seed", _whole(self.seed, "seed", 0, 2 ** 64))
@@ -56,7 +57,10 @@ class SimulationConfig:
         if not self.sample_sizes:
             raise ValueError("sample sizes must not be empty")
         object.__setattr__(self, "sample_sizes", tuple(
-            _draw_count(s, "sample sizes") for s in self.sample_sizes))
+            _whole(s, "sample sizes", 1, 2 ** 63) for s in self.sample_sizes))
+        object.__setattr__(self, "ensemble", tuple(map(ModelKind, self.ensemble)))
+        if self.model.kind not in self.ensemble:
+            raise ValueError("ensemble must contain the true model kind")
 
     def as_dict(self) -> dict:
         return {
@@ -64,6 +68,7 @@ class SimulationConfig:
             "trials": self.trials,
             "sample_sizes": list(self.sample_sizes),
             "model": self.model.as_dict(),
+            "ensemble": [k.value for k in self.ensemble],
         }
 
 
@@ -77,14 +82,6 @@ def _child_seed(seed: int, *key: int) -> int:
     return int(np.random.SeedSequence((seed, *key)).generate_state(1, np.uint64)[0])
 
 
-def _draw_count(n, name: str) -> int:
-    """n as an int; ValueError unless it is a whole number in [1, 2**63 - 1]."""
-    if isinstance(n, bool) or not (
-            isinstance(n, numbers.Real) and 1 <= n < 2 ** 63 and n == int(n)):
-        raise ValueError(f"{name} must be a whole number from 1 to 2**63 - 1, got {n!r}")
-    return int(n)
-
-
 def sample_counts(m: ModelParams, n: int, seed: int):
     """Draw n ranks from the model pmf; returns numpy counts per category 1..R.
 
@@ -93,7 +90,7 @@ def sample_counts(m: ModelParams, n: int, seed: int):
     near 23 MB). Time and memory do not depend on n. Deterministic for a
     fixed seed.
     """
-    n = _draw_count(n, "n")
+    n = _whole(n, "n", 1, 2 ** 63)
     if m.R > _MAX_RANKS:
         raise ValueError(f"simulation draws over at most {_MAX_RANKS} ranks, got R={m.R}")
     import numpy as np
@@ -159,31 +156,24 @@ class SizeRecovery:
 @dataclass(frozen=True)
 class RecoveryStats:
     config: SimulationConfig
-    ensemble: tuple
     per_size: tuple[SizeRecovery, ...]
 
     def as_dict(self) -> dict:
-        d = self.config.as_dict()
-        d["ensemble"] = [k.value for k in self.ensemble]
-        d["per_size"] = [s.as_dict() for s in self.per_size]
-        return d
+        return {**self.config.as_dict(), "per_size": [s.as_dict() for s in self.per_size]}
 
 
-def recovery_experiment(cfg: SimulationConfig, ensemble=None) -> RecoveryStats:
+def recovery_experiment(cfg: SimulationConfig) -> RecoveryStats:
     """Sample, select and score: can the criteria find the true model back?
 
     For every (sample size, trial) pair fresh counts are drawn from the
-    true model, summarized as sample() ranks them, and run through ensemble
-    selection. Recorded per size: the median absolute error of the true
-    kind's fitted scalar, the fraction of trials where each criterion picks
-    the true kind, and the fraction of undersampled trials (r_max < N).
+    true model, summarized as sample() ranks them, and run through selection
+    over cfg.ensemble. Recorded per size: the median absolute error of the
+    true kind's fitted scalar, the fraction of trials where each criterion
+    picks the true kind, and the fraction of undersampled trials (r_max < N).
     Trials whose true kind the criteria cannot score (AICc needs F0 > K + 1)
     count as failures without a selection and drop out of the aggregates.
     """
-    kinds = tuple(ensemble if ensemble is not None else DEFAULT_ENSEMBLE)
     true_kind = cfg.model.kind
-    if true_kind not in kinds:
-        raise ValueError("ensemble must contain the true model kind")
     truth = cfg.model.scalar
 
     per_size = []
@@ -197,7 +187,7 @@ def recovery_experiment(cfg: SimulationConfig, ensemble=None) -> RecoveryStats:
             stats = _summary(sorted((float(c) for c in counts.tolist() if c), reverse=True))
             try:
                 _check_domain(true_kind.n_params, stats.F0)
-                table = select(stats, N=cfg.model.N, ensemble=kinds)
+                table = select(stats, N=cfg.model.N, ensemble=cfg.ensemble)
             except ValueError:
                 failures += 1
                 continue
@@ -215,4 +205,4 @@ def recovery_experiment(cfg: SimulationConfig, ensemble=None) -> RecoveryStats:
             bic_true_fraction=bic_hits / done if done else None,
             undersampled_fraction=undersampled / done if done else None,
         ))
-    return RecoveryStats(config=cfg, ensemble=kinds, per_size=tuple(per_size))
+    return RecoveryStats(config=cfg, per_size=tuple(per_size))

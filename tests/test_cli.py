@@ -14,7 +14,7 @@ import rankfit.estimation
 import rankfit.selection
 from conftest import cli_env
 from rankfit._io import json_text
-from rankfit.cli import _write_json, build_parser, main
+from rankfit.cli import KIND_NAMES, _write_json, build_parser, main
 
 REPO = Path(__file__).resolve().parent.parent
 DEMO = REPO / "data" / "demo_synthetic.tsv"
@@ -145,10 +145,12 @@ def test_select_outputs_and_restricted_ensemble(tmp_path):
 
 
 def test_select_rejects_unknown_ensemble_member(tmp_path):
-    proc = run_cli("select", "--input", DEMO, "--ensemble", "zeta1,nope",
-                   "--out-dir", tmp_path / "x", cwd=tmp_path)
-    assert proc.returncode != 0
-    assert "geometric2" in proc.stderr  # lists valid kinds
+    # an empty --ensemble names no kind; only an absent one means all four
+    for ensemble in ("zeta1,nope", ""):
+        proc = run_cli("select", "--input", DEMO, "--ensemble", ensemble,
+                       "--out-dir", tmp_path / "x", cwd=tmp_path)
+        assert "geometric2" in one_line_error(proc)  # lists valid kinds
+        assert not (tmp_path / "x").exists()
 
 
 def test_diagnose_end_to_end(tmp_path):
@@ -217,13 +219,16 @@ def test_cross_apply_fit_file_with_fractional_R_is_one_line_error(tmp_path):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("field, bad", [("n_params", 2.9), ("iterations", 3.7)])
+@pytest.mark.parametrize("field, bad", [("n_params", 2.9), ("iterations", 3.7),
+                                        ("n_params", "x"), ("iterations", 1e400), ("R", None)])
 def test_cross_apply_fit_file_with_fractional_count_is_one_line_error(tmp_path, field, bad):
+    # a non-number, an infinity (1e400 reads as inf) or null is named like a fraction
     stored = {
         "kind": "geometric2", "params": {"kind": "geometric2", "R": 10, "N": 24, "q": 0.4},
         "loglik": -1.0, "n_params": 2, "converged": True, "iterations": 1, "warnings": []}
+    (stored["params"] if field == "R" else stored)[field] = bad
     fit_path = tmp_path / "fit.json"
-    fit_path.write_text(json.dumps({**stored, field: bad}), encoding="utf-8")
+    fit_path.write_text(json.dumps(stored), encoding="utf-8")
     out = tmp_path / "ca.json"
     proc = run_cli("cross-apply", "--fit", fit_path, "--input", DEMO, "--out", out,
                    cwd=tmp_path)
@@ -310,6 +315,7 @@ def test_simulate_trials_and_seed_must_be_whole(tmp_path, trials, seed, named):
 @pytest.mark.parametrize("model, named", [
     ({"kind": "geometric2", "R": 10.7, "N": 24.9, "q": 0.4}, "R must be a whole number"),
     ({"kind": "zeta1", "R": 24, "N": 24.9, "alpha": 1.0}, "N must be a whole number"),
+    ({"kind": "geometric2", "R": None, "N": 24, "q": 0.4}, "R must be a whole number"),
 ])
 def test_simulate_fractional_R_or_N_is_one_line_error(tmp_path, model, named):
     cfg_path = tmp_path / "cfg.json"
@@ -354,7 +360,7 @@ def test_simulate_whole_valued_floats_are_written_as_ints(tmp_path):
     assert '"trials": 2,' in text and '"seed": 7,' in text
     sizes = json.loads(text)["sample_sizes"]
     manifest = json.loads((tmp_path / "s.json.manifest.json").read_text())
-    for listed in (sizes, manifest["parameters"]["sizes"]):
+    for listed in (sizes, manifest["parameters"]["sample_sizes"]):
         assert listed == [40] and type(listed[0]) is int
     assert manifest["parameters"]["trials"] == 2 and manifest["parameters"]["seed"] == 7
 
@@ -371,7 +377,9 @@ def test_simulate_manifest_records_the_settings_used(tmp_path, mode, config, n, 
                    "geometric1", "--config", cfg_path, "--out", out, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     params = json.loads((tmp_path / "s.json.manifest.json").read_text())["parameters"]
-    assert (params["n"], params["sizes"]) == (n, sizes)
+    # each mode records only its own settings: n or sample_sizes, and the ensemble
+    assert (params.get("n"), params.get("sample_sizes")) == (n, sizes)
+    assert params.get("ensemble") == (None if mode == "undersampling" else ["geometric1"])
     assert '"n": 60.0' not in (tmp_path / "s.json.manifest.json").read_text()
     if mode == "undersampling":
         assert json.loads(out.read_text())["n"] == params["n"]
@@ -468,7 +476,7 @@ def test_json_output_is_strict(tmp_path, value):
     (("--mode", "recovery", "--sizes", "inf"), None, "sample sizes must"),
     (("--mode", "recovery", "--sizes", "100,150.5"), None, "sample sizes must"),
     ((), {"mode": "undersampling", "n": math.inf}, "n must"),
-    ((), {"mode": "undersampling", "n": 50, "trials": math.inf}, "infinity"),
+    ((), {"mode": "undersampling", "n": 50, "trials": math.inf}, "trials must"),
     ((), {"mode": "undersampling", "n": True}, "n must"),
     (("--mode", "recovery"), {"sample_sizes": [True]}, "sample sizes must"),
 ], ids=["n-1e20", "sizes-inf", "sizes-fraction", "config-n-inf", "config-trials-inf",
@@ -508,7 +516,8 @@ def test_simulate_boolean_model_values_are_one_line_errors(tmp_path, model, name
     ({"model": {"kind": None}, "seed": "x"},
      "error: simulate needs --model (or a model in the --config file)"),
     ({"mode": "other"}, "error: unknown simulate mode 'other'"),
-], ids=["unknown-kind", "ensemble-not-a-list", "no-model", "unknown-mode"])
+    ({"ensemble": []}, "error: ensemble must contain the true model kind"),
+], ids=["unknown-kind", "ensemble-not-a-list", "no-model", "unknown-mode", "ensemble-empty"])
 def test_simulate_error_lines_are_prefixed_only_for_unreadable_settings(tmp_path, config, line):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(config), encoding="utf-8")
@@ -577,12 +586,17 @@ def test_every_readme_command_writes_one_manifest_of_its_run(tmp_path):
         assert [i["path"] for i in manifest["inputs"]] == read
         for i in manifest["inputs"]:
             assert i["sha256"] == hashlib.sha256((tmp_path / i["path"]).read_bytes()).hexdigest()
-        if argv[0] == "simulate":  # the checked settings it ran with, as the output states them
+        if argv[0] == "simulate":  # the output without its results, plus out
+            output = json.loads((tmp_path / args.out).read_text())
+            results = ("per_size",) if args.mode == "recovery" else ("estimate", "half_width")
+            expected = {**{k: v for k, v in output.items() if k not in results}, "out": args.out}
+            # the settings the output records are the checked flags it ran with
             model = {"kind": args.model, "R": args.N, "N": args.N, "q": args.q}
-            assert json.loads((tmp_path / args.out).read_text())["model"] == model
-            expected = {"mode": args.mode, "model": model, "seed": args.seed,
-                        "trials": args.trials, "n": args.n, "out": args.out,
-                        "sizes": args.sizes and [int(s) for s in args.sizes.split(",")]}
+            settings = ({"sample_sizes": [int(s) for s in args.sizes.split(",")],
+                         "ensemble": list(KIND_NAMES)} if args.mode == "recovery"
+                        else {"n": args.n})
+            assert expected == {"mode": args.mode, "seed": args.seed, "trials": args.trials,
+                                "model": model, **settings, "out": args.out}, argv
         else:
             expected = {k: v for k, v in vars(args).items() if k not in ("command", "func")}
         assert manifest["parameters"] == expected, argv

@@ -301,6 +301,6 @@ def test_statistical_recovery_median_error():
     from rankfit import SimulationConfig, recovery_experiment
 
     cfg = SimulationConfig(seed=314, trials=200, sample_sizes=(500,),
-                           model=geometric1(0.35, 24))
-    stats = recovery_experiment(cfg, ensemble=(ModelKind.GEOMETRIC1,))
+                           model=geometric1(0.35, 24), ensemble=(ModelKind.GEOMETRIC1,))
+    stats = recovery_experiment(cfg)
     assert stats.per_size[0].median_abs_param_error <= 0.02

@@ -1,6 +1,6 @@
 """The public names of rankfit, pinned: adding or removing one is a deliberate
 change that updates this list, CHANGES.md and the README together. The same
-holds for the fields and options of the histogram API."""
+holds for the fields and options of the histogram and simulation APIs."""
 
 import dataclasses
 import inspect
@@ -53,3 +53,10 @@ def test_selection_row_fields_and_defaults():
         "w_bic", "error"]
     assert fields[0].default is dataclasses.MISSING
     assert all(f.default is None for f in fields[1:])
+
+
+def test_simulation_fields_and_options():
+    assert [f.name for f in dataclasses.fields(rankfit.SimulationConfig)] == [
+        "seed", "trials", "sample_sizes", "model", "ensemble"]
+    assert [f.name for f in dataclasses.fields(rankfit.RecoveryStats)] == ["config", "per_size"]
+    assert list(inspect.signature(rankfit.recovery_experiment).parameters) == ["cfg"]

@@ -173,11 +173,8 @@ def test_undersampling_trials_and_seed_must_be_whole(trials, seed):
 @pytest.mark.parametrize("name", ["trials", "seed"])
 def test_undersampling_non_numbers_are_value_errors(name, bad):
     settings = {"trials": 4, "seed": 1, name: bad}
-    with pytest.raises(ValueError) as caught:
+    with pytest.raises(ValueError, match=f"^{name} must be a whole number from"):
         undersampling_probability(geometric1(0.5, 24), 30, **settings)
-    if bad is None or math.isinf(bad):  # int() raised TypeError or OverflowError; its text is kept
-        assert isinstance(caught.value.__cause__, (TypeError, OverflowError))
-        assert str(caught.value) == str(caught.value.__cause__)
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, None, True, False])
@@ -272,10 +269,10 @@ def test_recovery_skips_select_when_the_true_kind_cannot_be_scored(monkeypatch):
 
 
 def test_recovery_requires_true_kind_in_ensemble():
-    cfg = SimulationConfig(seed=3, trials=1, sample_sizes=(50,),
-                           model=geometric1(0.4, 24))
-    with pytest.raises(ValueError, match="true model kind"):
-        recovery_experiment(cfg, ensemble=(ModelKind.ZETA1,))
+    for ensemble in ((ModelKind.ZETA1,), ()):
+        with pytest.raises(ValueError, match="true model kind"):
+            SimulationConfig(seed=3, trials=1, sample_sizes=(50,),
+                             model=geometric1(0.4, 24), ensemble=ensemble)
 
 
 @pytest.mark.parametrize("model, size, select_raises", [
@@ -309,9 +306,9 @@ def test_recovery_bic_fraction_trend():
 
 def test_recovery_concentrated_q_small_error():
     cfg = SimulationConfig(seed=7, trials=50, sample_sizes=(10 ** 4,),
-                           model=geometric1(0.9, 24))
-    stats = recovery_experiment(
-        cfg, ensemble=(ModelKind.GEOMETRIC1, ModelKind.GEOMETRIC2))
+                           model=geometric1(0.9, 24),
+                           ensemble=(ModelKind.GEOMETRIC1, ModelKind.GEOMETRIC2))
+    stats = recovery_experiment(cfg)
     assert stats.per_size[0].median_abs_param_error <= 0.01
 
 
@@ -329,9 +326,9 @@ def test_recovery_stats_json_shape():
 def test_sample_sizes_stay_exact_ints():
     big = 2 ** 63 - 1  # float() would round it to 2**63, past the draw-count limit
     cfg = SimulationConfig(seed=1, trials=1, sample_sizes=(big, 40.0),
-                           model=geometric1(0.4, 24))
+                           model=geometric1(0.4, 24), ensemble=(ModelKind.GEOMETRIC1,))
     assert cfg.sample_sizes == (big, 40)
     assert all(type(s) is int for s in cfg.sample_sizes)
-    d = recovery_experiment(cfg, ensemble=(ModelKind.GEOMETRIC1,)).as_dict()
+    d = recovery_experiment(cfg).as_dict()
     assert d["sample_sizes"] == [big, 40]
     assert [s["sample_size"] for s in d["per_size"]] == [big, 40]
