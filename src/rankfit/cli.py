@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import __version__
 from ._io import json_text, read_json_object, read_text, tsv, write_text
-from .diagnostics import DEFAULT_R2_MARGIN, diagnose, emit_plot_data
+from .diagnostics import diagnose, emit_plot_data
 from .estimation import FitResult, fit
 from .histogram import RankHistogram, parse_dataset, summarize
 from .models import DEFAULT_DOMAIN_CEILING, ModelKind, ModelParams
@@ -37,10 +37,6 @@ KIND_NAMES = tuple(k.value for k in ModelKind)
 
 class _UsageError(ValueError):
     """A bad flag or setting, stated in full: simulate adds no configuration prefix."""
-
-
-def _sha256(path: str) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def _loglik_json(value: float) -> dict:
@@ -66,7 +62,8 @@ def _write_manifest(args, inputs: list[str], outputs: list[Path], parameters=Non
         parameters = {k: v for k, v in vars(args).items() if k not in ("command", "func")}
     _write_json({
         "command": args.command,
-        "inputs": [{"path": p, "sha256": _sha256(p)} for p in inputs],
+        "inputs": [{"path": p, "sha256": hashlib.sha256(Path(p).read_bytes()).hexdigest()}
+                   for p in inputs],
         "parameters": parameters,
         "version": __version__,
         "outputs": [str(p) for p in outputs],
@@ -138,7 +135,7 @@ def cmd_diagnose(args):
     hist = _parse_input(args)
     s = summarize(hist)
     fits = [fit(k, s, N=args.N) for k in _ensemble(args.ensemble)]
-    report = diagnose(hist, fits, margin=args.margin)
+    report = diagnose(hist, fits)
     out_dir = Path(args.out_dir)
     files = emit_plot_data(hist, fits, out_dir)
     report_path = out_dir / "diagnostic_report.json"
@@ -257,8 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_input(p)
     p.add_argument("--N", type=int, default=DEFAULT_DOMAIN_CEILING)
     p.add_argument("--ensemble", default=None)
-    p.add_argument("--margin", type=float, default=DEFAULT_R2_MARGIN,
-                   help="r2 margin for the verdict rule (default: 0.02)")
     p.add_argument("--out-dir", default="diagnose_out")
     p.set_defaults(func=cmd_diagnose)
 

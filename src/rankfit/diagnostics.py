@@ -29,14 +29,10 @@ __all__ = [
     "slope_fit",
     "diagnose",
     "emit_plot_data",
-    "DEFAULT_R2_MARGIN",
+    "R2_MARGIN",
 ]
 
-DEFAULT_R2_MARGIN = 0.02
-
-VERDICT_EXPONENTIAL = "exponential-like"
-VERDICT_POWER_LAW = "power-law-like"
-VERDICT_INCONCLUSIVE = "inconclusive"
+R2_MARGIN = 0.02  # the verdict's r2 margin, which as_dict records as "margin"
 
 
 class Scale(str, Enum):
@@ -75,10 +71,9 @@ class DiagnosticReport:
     geometric_slope_prediction: float
     zeta_slope_prediction: float
     verdict: str
-    margin: float
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return {**asdict(self), "margin": R2_MARGIN}
 
 
 def _transform(points, scale: Scale):
@@ -141,26 +136,21 @@ def _pick(fits, want_geometric: bool) -> FitResult:
     return max(group, key=lambda f: (f.loglik, -f.n_params))
 
 
-def diagnose(hist: RankHistogram, fits, margin: float = DEFAULT_R2_MARGIN) -> DiagnosticReport:
+def diagnose(hist: RankHistogram, fits) -> DiagnosticReport:
     """Regress the observed data in both log scales and compare linearity.
 
     The verdict is exponential-like iff the linear-log r2 beats the
-    log-log r2 by more than ``margin``, power-law-like in the mirrored
+    log-log r2 by more than R2_MARGIN, power-law-like in the mirrored
     case, inconclusive otherwise. Slope predictions come from the best
     geometric fit (log(1-q)) and the best zeta fit (-alpha) supplied.
     """
-    if not math.isfinite(margin):
-        raise ValueError(f"margin must be a finite number, got {margin!r}")
     geo = _pick(fits, want_geometric=True)
     zet = _pick(fits, want_geometric=False)
     linlog = slope_fit(transform_series(hist, Scale.LINEAR_LOG))
     loglog = slope_fit(transform_series(hist, Scale.LOG_LOG))
-    if linlog.r2 - loglog.r2 > margin:
-        verdict = VERDICT_EXPONENTIAL
-    elif loglog.r2 - linlog.r2 > margin:
-        verdict = VERDICT_POWER_LAW
-    else:
-        verdict = VERDICT_INCONCLUSIVE
+    gap = linlog.r2 - loglog.r2  # exactly -(loglog.r2 - linlog.r2)
+    verdict = ("exponential-like" if gap > R2_MARGIN else
+               "power-law-like" if -gap > R2_MARGIN else "inconclusive")
     return DiagnosticReport(
         linlog_slope=linlog.slope,
         linlog_r2=linlog.r2,
@@ -169,7 +159,6 @@ def diagnose(hist: RankHistogram, fits, margin: float = DEFAULT_R2_MARGIN) -> Di
         geometric_slope_prediction=math.log1p(-geo.params.q),
         zeta_slope_prediction=-zet.params.alpha,
         verdict=verdict,
-        margin=margin,
     )
 
 

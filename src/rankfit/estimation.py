@@ -22,6 +22,7 @@ point is the maximum; it is returned exactly, with a "boundary:" warning.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -39,14 +40,21 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 @dataclass(frozen=True)
 class FitResult:
-    """A fitted ensemble member and its maximized log-likelihood (nats)."""
+    """A fitted ensemble member and its maximized log-likelihood (nats); n_params
+    and converged (R > 1: at R = 1 the likelihood is flat) follow from params."""
 
     params: ModelParams
     loglik: float
-    n_params: int
-    converged: bool
     iterations: int
     warnings: tuple[str, ...] = ()
+
+    @property
+    def n_params(self) -> int:
+        return self.params.kind.n_params
+
+    @property
+    def converged(self) -> bool:
+        return self.params.R > 1
 
     def as_dict(self) -> dict:
         return {
@@ -61,14 +69,23 @@ class FitResult:
 
     @classmethod
     def from_dict(cls, d: dict) -> "FitResult":
-        return cls(
+        """as_dict's inverse; ValueError naming a field of the wrong type or at odds with params."""
+        loglik = d["loglik"]
+        if isinstance(loglik, bool) or not (isinstance(loglik, numbers.Real)
+                                            and math.isfinite(loglik)):
+            raise ValueError(f"loglik must be a finite number, got {loglik!r}")
+        result = cls(
             params=ModelParams.from_dict(d["params"]),
-            loglik=float(d["loglik"]),
-            n_params=_whole(d["n_params"], "n_params", 1, 3),
-            converged=bool(d["converged"]),
+            loglik=float(loglik),
             iterations=_whole(d["iterations"], "iterations", 0, 2 ** 63),
             warnings=tuple(d.get("warnings", ())),
         )
+        for name, value in (("n_params", _whole(d["n_params"], "n_params", 1, 3)),
+                            ("converged", d["converged"])):
+            derived = getattr(result, name)
+            if type(value) is not type(derived) or value != derived:
+                raise ValueError(f"{name} must be {derived!r} for these params, got {value!r}")
+        return result
 
 
 def _maximize(objective: Callable[[float], float], lo: float, hi: float,
@@ -163,8 +180,6 @@ def fit(kind: ModelKind | str, hist: RankHistogram | SummaryStats,
     return FitResult(
         params=ModelParams(kind=kind, R=R, N=N, **{name: argmax}),
         loglik=value,
-        n_params=kind.n_params,
-        converged=R > 1,
         iterations=evals,
         warnings=notes,
     )

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from itertools import groupby
 from operator import itemgetter
 
@@ -76,27 +76,29 @@ class SummaryStats:
     """Frequency moments of one histogram.
 
     F0 is the total frequency (the sample size), F1 the frequency-weighted
-    rank sum, FlogR the frequency-weighted sum of log-ranks, mean_rank
-    their ratio F1/F0, and r_max the number of attested ranks.
+    rank sum, FlogR the frequency-weighted sum of log-ranks, and r_max the
+    number of attested ranks; mean_rank is the ratio F1/F0.
     """
 
     F0: float
     F1: float
     FlogR: float
-    mean_rank: float
     r_max: int
 
     def __post_init__(self):
         slack = 1e-9 * max(1.0, abs(self.F1))
-        if not (self.F0 <= self.F1 + slack and self.F1 <= self.F0 * self.r_max + slack):
-            raise ValueError("F0 <= F1 <= F0*r_max violated")
-        if not (1.0 - 1e-12 <= self.mean_rank <= self.r_max + 1e-12):
-            raise ValueError("mean_rank outside [1, r_max]")
+        if not (0 < self.F0 <= self.F1 + slack and self.F1 <= self.F0 * self.r_max + slack):
+            raise ValueError("0 < F0 <= F1 <= F0*r_max violated")
         if self.FlogR < -1e-12 or (self.r_max == 1 and self.FlogR != 0.0):
             raise ValueError("FlogR must be >= 0 and zero iff r_max == 1")
 
+    @property
+    def mean_rank(self) -> float:
+        return self.F1 / self.F0
+
     def as_dict(self) -> dict:
-        return asdict(self)
+        return {"F0": self.F0, "F1": self.F1, "FlogR": self.FlogR,
+                "mean_rank": self.mean_rank, "r_max": self.r_max}
 
 
 def parse_dataset(text: str, *, delimiter: str = "\t") -> RankHistogram:
@@ -111,8 +113,7 @@ def parse_dataset(text: str, *, delimiter: str = "\t") -> RankHistogram:
     records: list[tuple[str, float]] = []
     notes: list[str] = []
     seen_first = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip("\r")
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         first = not seen_first
@@ -158,7 +159,7 @@ def parse_dataset(text: str, *, delimiter: str = "\t") -> RankHistogram:
 
 
 def summarize(hist: RankHistogram) -> SummaryStats:
-    """Compute F0, F1, FlogR, mean rank and r_max for a histogram."""
+    """Compute F0, F1, FlogR and r_max for a histogram."""
     return _summary(hist.frequencies)
 
 
@@ -167,4 +168,4 @@ def _summary(freqs) -> SummaryStats:
     F0 = math.fsum(freqs)
     F1 = math.fsum(f * r for r, f in enumerate(freqs, start=1))
     FlogR = math.fsum(f * math.log(r) for r, f in enumerate(freqs, start=1))
-    return SummaryStats(F0=F0, F1=F1, FlogR=FlogR, mean_rank=F1 / F0, r_max=len(freqs))
+    return SummaryStats(F0=F0, F1=F1, FlogR=FlogR, r_max=len(freqs))

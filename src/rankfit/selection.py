@@ -141,7 +141,6 @@ def bic_evidence_ratio(loglik_i: float, k_i: int, loglik_j: float, k_j: int,
 class SelectionRow:
     kind: ModelKind
     fit: FitResult | None = None
-    loglik: float | None = None
     aicc: float | None = None
     delta_aicc: float | None = None
     w_aicc: float | None = None
@@ -150,15 +149,32 @@ class SelectionRow:
     w_bic: float | None = None
     error: str | None = None
 
+    @property
+    def loglik(self) -> float | None:
+        return None if self.fit is None else self.fit.loglik
+
+
+def _argbest(rows, score_of) -> ModelKind:
+    scored = [r for r in rows if score_of(r) is not None]
+    # ties break toward fewer parameters, then kind name
+    best = min(scored, key=lambda r: (score_of(r), r.kind.n_params, r.kind.value))
+    return best.kind
+
 
 @dataclass(frozen=True)
 class SelectionTable:
-    """Per-model criterion scores for one histogram (one row per kind)."""
+    """Per-model criterion scores for one histogram (one row per kind), best kinds derived."""
 
     rows: tuple[SelectionRow, ...]
-    best_by_aicc: ModelKind
-    best_by_bic: ModelKind
     F0: float
+
+    @property
+    def best_by_aicc(self) -> ModelKind:
+        return _argbest(self.rows, lambda r: r.aicc)
+
+    @property
+    def best_by_bic(self) -> ModelKind:
+        return _argbest(self.rows, lambda r: r.bic)
 
     def row(self, kind: ModelKind | str) -> SelectionRow:
         kind = ModelKind(kind)
@@ -166,13 +182,6 @@ class SelectionTable:
             if r.kind == kind:
                 return r
         raise KeyError(kind.value)
-
-
-def _argbest(rows: list[SelectionRow], score_of) -> ModelKind:
-    scored = [r for r in rows if score_of(r) is not None]
-    # ties break toward fewer parameters, then kind name
-    best = min(scored, key=lambda r: (score_of(r), r.kind.n_params, r.kind.value))
-    return best.kind
 
 
 def select(hist: RankHistogram | SummaryStats, N: int = DEFAULT_DOMAIN_CEILING,
@@ -195,9 +204,8 @@ def select(hist: RankHistogram | SummaryStats, N: int = DEFAULT_DOMAIN_CEILING,
             _check_domain(kind.n_params, s.F0)
             key = (kind.family, s.r_max if kind.n_params == 2 else N)  # with the stats, all that fit reads
             fr = fits[key] = fit(kind, s, N) if key not in fits else replace(
-                fits[key], params=replace(fits[key].params, kind=kind), n_params=kind.n_params)
-            rows.append(SelectionRow(kind=kind, fit=fr, loglik=fr.loglik,
-                                     aicc=aicc(fr.loglik, fr.n_params, s.F0),
+                fits[key], params=replace(fits[key].params, kind=kind))
+            rows.append(SelectionRow(kind=kind, fit=fr, aicc=aicc(fr.loglik, fr.n_params, s.F0),
                                      bic=bic(fr.loglik, fr.n_params, s.F0)))
         except ValueError as exc:
             rows.append(SelectionRow(kind=kind, error=str(exc)))
@@ -211,12 +219,7 @@ def select(hist: RankHistogram | SummaryStats, N: int = DEFAULT_DOMAIN_CEILING,
                     delta_bic=r.bic - min_b, w_bic=next(w_b))
             if r.error is None else r for r in rows]
 
-    return SelectionTable(
-        rows=tuple(rows),
-        best_by_aicc=_argbest(rows, lambda r: r.aicc),
-        best_by_bic=_argbest(rows, lambda r: r.bic),
-        F0=s.F0,
-    )
+    return SelectionTable(rows=tuple(rows), F0=s.F0)
 
 
 def cross_apply(fit_result: FitResult, other: RankHistogram) -> float:
@@ -265,11 +268,7 @@ def best_params_tsv(table: SelectionTable) -> str:
 def best_params_dict(table: SelectionTable) -> dict:
     rows = []
     for r in table.rows:
-        if r.fit is None:
-            rows.append({"model": r.kind.value, "R": None, "alpha": None,
-                         "q": None, "error": r.error})
-        else:
-            p = r.fit.params
-            rows.append({"model": r.kind.value, "R": p.R, "alpha": p.alpha,
-                         "q": p.q, "error": None})
+        p = None if r.fit is None else r.fit.params  # getattr(None, ...) gives None
+        rows.append({"model": r.kind.value, **{k: getattr(p, k, None) for k in ("R", "alpha", "q")},
+                     "error": r.error})
     return {"rows": rows}

@@ -219,10 +219,25 @@ def test_cross_apply_fit_file_with_fractional_R_is_one_line_error(tmp_path):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("field, bad", [("n_params", 2.9), ("iterations", 3.7),
-                                        ("n_params", "x"), ("iterations", 1e400), ("R", None)])
-def test_cross_apply_fit_file_with_fractional_count_is_one_line_error(tmp_path, field, bad):
+BAD_FIT_FIELDS = [
     # a non-number, an infinity (1e400 reads as inf) or null is named like a fraction
+    ("n_params", 2.9, "n_params must be a whole number"),
+    ("iterations", 3.7, "iterations must be a whole number"),
+    ("n_params", "x", "n_params must be a whole number"),
+    ("iterations", 1e400, "iterations must be a whole number"),
+    ("R", None, "R must be a whole number"),
+    ("loglik", True, "loglik must be a finite number, got True"),
+    ("loglik", "x", "loglik must be a finite number, got 'x'"),
+    # n_params and converged must agree with the geometric2 params at R = 10
+    ("converged", "false", "converged must be True for these params, got 'false'"),
+    ("n_params", 1, "n_params must be 2 for these params, got 1"),
+]
+
+
+@pytest.mark.parametrize("field, bad, named", [pytest.param(*case, id=f"{case[0]}-{case[1]}")
+                                               for case in BAD_FIT_FIELDS])
+def test_cross_apply_fit_file_with_fractional_count_is_one_line_error(tmp_path, field, bad,
+                                                                      named):
     stored = {
         "kind": "geometric2", "params": {"kind": "geometric2", "R": 10, "N": 24, "q": 0.4},
         "loglik": -1.0, "n_params": 2, "converged": True, "iterations": 1, "warnings": []}
@@ -232,7 +247,7 @@ def test_cross_apply_fit_file_with_fractional_count_is_one_line_error(tmp_path, 
     out = tmp_path / "ca.json"
     proc = run_cli("cross-apply", "--fit", fit_path, "--input", DEMO, "--out", out,
                    cwd=tmp_path)
-    assert f"{field} must be a whole number" in one_line_error(proc)
+    assert named in one_line_error(proc)
     assert not out.exists()
 
 
@@ -524,15 +539,6 @@ def test_simulate_error_lines_are_prefixed_only_for_unreadable_settings(tmp_path
     proc = run_cli("simulate", "--model", "geometric1", "--q", "0.4", "--sizes", "10",
                    "--config", cfg_path, "--out", tmp_path / "s.json", cwd=tmp_path)
     assert one_line_error(proc) == line
-
-
-@pytest.mark.parametrize("margin", ["nan", "inf", "-inf"])
-def test_diagnose_non_finite_margin_fails_before_any_output(tmp_path, margin):
-    out_dir = tmp_path / "diag"
-    proc = run_cli("diagnose", "--input", DEMO, f"--margin={margin}", "--out-dir", out_dir,
-                   cwd=tmp_path)
-    assert "margin must be a finite number" in one_line_error(proc)
-    assert not out_dir.exists()
 
 
 def test_zeta1_past_a_million_ranks_fails_at_once_and_select_keeps_the_other_rows(tmp_path):

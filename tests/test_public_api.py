@@ -1,6 +1,6 @@
 """The public names of rankfit, pinned: adding or removing one is a deliberate
 change that updates this list, CHANGES.md and the README together. The same
-holds for the fields and options of the histogram and simulation APIs."""
+holds for the fields and options of the histogram, result and simulation APIs."""
 
 import dataclasses
 import inspect
@@ -49,10 +49,22 @@ def test_histogram_fields_and_options():
 def test_selection_row_fields_and_defaults():
     fields = dataclasses.fields(rankfit.SelectionRow)
     assert [f.name for f in fields] == [
-        "kind", "fit", "loglik", "aicc", "delta_aicc", "w_aicc", "bic", "delta_bic",
-        "w_bic", "error"]
+        "kind", "fit", "aicc", "delta_aicc", "w_aicc", "bic", "delta_bic", "w_bic", "error"]
     assert fields[0].default is dataclasses.MISSING
     assert all(f.default is None for f in fields[1:])
+
+
+def test_result_fields_and_options():
+    # what a field would repeat (mean_rank, n_params, converged, a row's loglik,
+    # the best kinds) is a read-only property, and the r2 margin is a constant
+    def names(cls):
+        return [f.name for f in dataclasses.fields(cls)]
+
+    assert names(rankfit.FitResult) == ["params", "loglik", "iterations", "warnings"]
+    assert names(rankfit.SummaryStats) == ["F0", "F1", "FlogR", "r_max"]
+    assert names(rankfit.SelectionTable) == ["rows", "F0"]
+    assert "margin" not in names(rankfit.DiagnosticReport)
+    assert list(inspect.signature(rankfit.diagnose).parameters) == ["hist", "fits"]
 
 
 def test_simulation_fields_and_options():

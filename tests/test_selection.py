@@ -209,12 +209,13 @@ def test_select_tie_breaks_toward_fewer_parameters():
 # --------------------------------------------------------------- cross_apply
 
 def _reference_select(s, N, kinds):
-    """select as one fit per kind scored with aicc and bic; None where select raises."""
+    """select as one fit per kind scored with aicc and bic, as (table, (best by AICc,
+    best by BIC)); None where select raises."""
     rows = []
     for kind in kinds:
         try:
             fr = fit(kind, s, N)
-            rows.append(SelectionRow(kind=kind, fit=fr, loglik=fr.loglik,
+            rows.append(SelectionRow(kind=kind, fit=fr,
                                      aicc=aicc(fr.loglik, fr.n_params, s.F0),
                                      bic=bic(fr.loglik, fr.n_params, s.F0)))
         except ValueError as exc:
@@ -231,7 +232,7 @@ def _reference_select(s, N, kinds):
     best = [min((r for r in rows if r.error is None),
                 key=lambda r: (getattr(r, score), r.kind.n_params, r.kind.value)).kind
             for score in ("aicc", "bic")]
-    return SelectionTable(rows=tuple(rows), best_by_aicc=best[0], best_by_bic=best[1], F0=s.F0)
+    return SelectionTable(rows=tuple(rows), F0=s.F0), tuple(best)
 
 
 def _edge_case_stats(rng, case, N):
@@ -275,7 +276,9 @@ def test_select_equals_one_fit_per_kind_scored_by_aicc_and_bic(case):
                 continue
             table = select(s, N=N, ensemble=kinds)
             tables += 1
+            ref, best = ref
             assert table == ref
+            assert (table.best_by_aicc, table.best_by_bic) == best
             assert [r.error for r in table.rows] == [r.error for r in ref.rows]
             assert [r.fit and r.fit.as_dict() for r in table.rows] == \
                 [r.fit and r.fit.as_dict() for r in ref.rows]
