@@ -68,6 +68,14 @@ def read_text(path) -> str:
                          f"{exc.start}") from None
 
 
+def known_keys(obj: dict, allowed, what: str) -> dict:
+    """obj, unless it has a key outside allowed: ValueError naming the first."""
+    unknown = sorted(set(obj) - set(allowed))
+    if unknown:
+        raise ValueError(f"unknown {what} {unknown[0]!r}")
+    return obj
+
+
 def read_json_object(path) -> dict:
     """The JSON object an input file holds; anything else raises ValueError."""
     text = read_text(path)

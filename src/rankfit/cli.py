@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from ._io import json_text, read_json_object, read_text, tsv, write_text
+from ._io import json_text, known_keys, read_json_object, read_text, tsv, write_text
 from .diagnostics import diagnose, emit_plot_data
 from .estimation import FitResult, fit
 from .histogram import RankHistogram, parse_dataset, summarize
@@ -158,7 +158,7 @@ def _simulation_settings(args) -> dict:
         "ensemble": args.ensemble,
     }
     if args.config:
-        settings.update(read_json_object(args.config))
+        settings.update(known_keys(read_json_object(args.config), settings, "setting"))
     return settings
 
 

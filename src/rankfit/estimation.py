@@ -26,6 +26,7 @@ import numbers
 from dataclasses import dataclass
 from typing import Callable
 
+from ._io import known_keys
 from .histogram import RankHistogram, SummaryStats, summarize
 from .models import (ALPHA_INTERVAL, DEFAULT_DOMAIN_CEILING, Q_INTERVAL, ModelKind, ModelParams,
                      _whole)
@@ -69,22 +70,27 @@ class FitResult:
 
     @classmethod
     def from_dict(cls, d: dict) -> "FitResult":
-        """as_dict's inverse; ValueError naming a field of the wrong type or at odds with params."""
-        loglik = d["loglik"]
+        """as_dict's inverse; ValueError naming a field that is unknown, of the
+        wrong type or at odds with params."""
+        loglik, notes = d["loglik"], d.get("warnings", [])
         if isinstance(loglik, bool) or not (isinstance(loglik, numbers.Real)
                                             and math.isfinite(loglik)):
             raise ValueError(f"loglik must be a finite number, got {loglik!r}")
+        if not (isinstance(notes, list) and all(isinstance(n, str) for n in notes)):
+            raise ValueError(f"warnings must be a list of strings, got {notes!r}")
         result = cls(
             params=ModelParams.from_dict(d["params"]),
             loglik=float(loglik),
             iterations=_whole(d["iterations"], "iterations", 0, 2 ** 63),
-            warnings=tuple(d.get("warnings", ())),
+            warnings=tuple(notes),
         )
-        for name, value in (("n_params", _whole(d["n_params"], "n_params", 1, 3)),
-                            ("converged", d["converged"])):
-            derived = getattr(result, name)
-            if type(value) is not type(derived) or value != derived:
-                raise ValueError(f"{name} must be {derived!r} for these params, got {value!r}")
+        derived = result.as_dict()  # its kind, n_params and converged follow from params
+        known_keys(d, derived, "fit file key")
+        for name, value in (("kind", d["kind"]), ("converged", d["converged"]),
+                            ("n_params", _whole(d["n_params"], "n_params", 1, 3))):
+            want = derived[name]
+            if type(value) is not type(want) or value != want:
+                raise ValueError(f"{name} must be {want!r} for these params, got {value!r}")
         return result
 
 
@@ -95,24 +101,14 @@ def _maximize(objective: Callable[[float], float], lo: float, hi: float,
     The scan points (and init, if inside the interval) bracket the maximum;
     golden-section search shrinks the winning bracket below _TOL. If the
     scan's value at lo or hi is >= the refined value, that end is returned
-    exactly. Raises on a NaN objective value, citing the abscissa.
+    exactly.
     """
-    evals = 0
-
-    def ev(x: float) -> float:
-        nonlocal evals
-        evals += 1
-        v = objective(x)
-        if math.isnan(v):
-            raise ValueError(f"objective returned NaN at x={x!r}")
-        return v
-
     xs = [lo + (hi - lo) * k / (_SCAN_POINTS - 1) for k in range(_SCAN_POINTS)]
     xs[-1] = hi
     if init is not None and lo < init < hi:
         xs.append(init)
         xs.sort()
-    values = [ev(x) for x in xs]
+    values = list(map(objective, xs))
 
     best = values.index(max(values))
     a = xs[best - 1] if best > 0 else xs[0]
@@ -121,21 +117,22 @@ def _maximize(objective: Callable[[float], float], lo: float, hi: float,
     # golden-section refinement on [a, b]
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
-    f1 = ev(x1)
-    f2 = ev(x2)
+    f1, f2 = objective(x1), objective(x2)
+    evals = len(xs) + 3  # the scan, x1, x2 and x_best; then one per step
     while b - a > _TOL:
+        evals += 1
         if f1 >= f2:
             b = x2
             x2, f2 = x1, f1
             x1 = b - _GOLDEN * (b - a)
-            f1 = ev(x1)
+            f1 = objective(x1)
         else:
             a = x1
             x1, f1 = x2, f2
             x2 = a + _GOLDEN * (b - a)
-            f2 = ev(x2)
+            f2 = objective(x2)
     x_best = 0.5 * (a + b)
-    v_best = ev(x_best)
+    v_best = objective(x_best)
     for x, v in ((lo, values[0]), (hi, values[-1])):
         if v >= v_best:
             return x, v, evals

@@ -86,6 +86,9 @@ class SummaryStats:
     r_max: int
 
     def __post_init__(self):
+        for name in ("F0", "F1", "FlogR"):  # so no fit objective ever evaluates to NaN
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         slack = 1e-9 * max(1.0, abs(self.F1))
         if not (0 < self.F0 <= self.F1 + slack and self.F1 <= self.F0 * self.r_max + slack):
             raise ValueError("0 < F0 <= F1 <= F0*r_max violated")
@@ -165,7 +168,10 @@ def summarize(hist: RankHistogram) -> SummaryStats:
 
 def _summary(freqs) -> SummaryStats:
     """The SummaryStats of frequencies listed by rank, rank 1 first."""
-    F0 = math.fsum(freqs)
-    F1 = math.fsum(f * r for r, f in enumerate(freqs, start=1))
+    try:
+        F0 = math.fsum(freqs)
+        F1 = math.fsum(f * r for r, f in enumerate(freqs, start=1))
+    except OverflowError:
+        raise ValueError("frequencies too large: their sum overflows a float") from None
     FlogR = math.fsum(f * math.log(r) for r, f in enumerate(freqs, start=1))
     return SummaryStats(F0=F0, F1=F1, FlogR=FlogR, r_max=len(freqs))

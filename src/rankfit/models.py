@@ -25,6 +25,7 @@ from functools import cached_property
 from itertools import repeat
 from typing import Callable, NamedTuple
 
+from ._io import known_keys
 from .histogram import SummaryStats
 
 __all__ = [
@@ -124,11 +125,10 @@ class ModelParams:
 
     @cached_property
     def _probabilities(self):
-        """The pmf on 1..R as a numpy float array, once per model: p(1) times
-        the family's weights p(r) / p(1), its pmf with normalizer 1."""
+        """The pmf on 1..R as a numpy float array, once per model, by pmf's formula."""
         import numpy as np
         # float ranks: int ranks cannot take an int alpha's negative power
-        return pmf(self, 1) * self.kind.family.p(self.scalar, 1.0, np.arange(1.0, self.R + 1))
+        return self.kind.family.p(self.scalar, self._norm, np.arange(1.0, self.R + 1))
 
     def as_dict(self) -> dict:
         return {"kind": self.kind.value, "R": self.R, "N": self.N,
@@ -136,6 +136,7 @@ class ModelParams:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelParams":
+        known_keys(d, ("kind", "R", "N", "alpha", "q"), "model parameter")
         return cls(kind=ModelKind(d["kind"]), R=_whole(d["R"], "R", 1, 2 ** 63),
                    N=_whole(d["N"], "N", 1, 2 ** 63), alpha=d.get("alpha"), q=d.get("q"))
 

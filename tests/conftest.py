@@ -1,5 +1,8 @@
 """Shared test set-up.
 
+`readme_cli_commands` reads the commands of the README's `## CLI` block,
+which the CLI tests and tests/golden/regen.py both run.
+
 `cli_env` is the environment for every `python -m rankfit.cli` child the
 suite starts. Those children run with `cwd=tmp_path`, where a relative
 `PYTHONPATH=src` resolves to nothing, so the checkout's `src` goes first
@@ -16,6 +19,7 @@ Warnings from rankfit itself still fail the suite.
 """
 
 import os
+import shlex
 import warnings
 from pathlib import Path
 
@@ -39,3 +43,13 @@ def cli_env() -> dict:
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     return env
+
+
+def readme_cli_commands() -> list[list[str]]:
+    """The argument lists of the README's `## CLI` block, one per command,
+    with `other.tsv` replaced by the demo file `data/demo_synthetic.tsv`."""
+    text = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    block = text.split("## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [["data/demo_synthetic.tsv" if a == "other.tsv" else a
+             for a in shlex.split(line)[1:]]
+            for line in block.replace("\\\n", " ").splitlines()]

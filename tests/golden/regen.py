@@ -44,6 +44,7 @@ import numpy as np  # noqa: E402
 
 import rankfit  # noqa: E402
 from _oracles import random_histogram  # noqa: E402
+from conftest import readme_cli_commands  # noqa: E402
 from rankfit.cli import main  # noqa: E402
 
 DEMO = REPO / "data" / "demo_synthetic.tsv"
@@ -75,16 +76,6 @@ def simulation_text() -> str:
     est = rankfit.undersampling_probability(rankfit.geometric1(0.15, 24), 200, 200, 404)
     return json.dumps({"recovery": rankfit.recovery_experiment(cfg).as_dict(),
                        "undersampling": est._asdict()}, indent=1) + "\n"
-
-
-def readme_cli_commands() -> list[list[str]]:
-    """The README ``## CLI`` block's argument lists, ``other.tsv`` replaced
-    by the demo file."""
-    text = (REPO / "README.md").read_text(encoding="utf-8")
-    block = text.split("## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
-    return [["data/demo_synthetic.tsv" if a == "other.tsv" else a
-             for a in shlex.split(line)[1:]]
-            for line in block.replace("\\\n", " ").splitlines()]
 
 
 def _is_run_manifest(path: Path) -> bool:

@@ -1,7 +1,6 @@
 import hashlib
 import json
 import math
-import shlex
 import shutil
 import subprocess
 import sys
@@ -12,7 +11,7 @@ import pytest
 import rankfit.cli
 import rankfit.estimation
 import rankfit.selection
-from conftest import cli_env
+from conftest import cli_env, readme_cli_commands
 from rankfit._io import json_text
 from rankfit.cli import KIND_NAMES, _write_json, build_parser, main
 
@@ -79,6 +78,14 @@ def test_summarize_non_utf8_input_is_one_line_error(tmp_path):
     proc = run_cli("summarize", "--input", bad, "--out", tmp_path / "x.json",
                    cwd=tmp_path)
     assert str(bad) in one_line_error(proc)
+    assert not (tmp_path / "x.json").exists()
+
+
+def test_summarize_overflowing_frequencies_is_one_line_error(tmp_path):
+    big = tmp_path / "big.tsv"
+    big.write_text("a\t1.5e308\nb\t1e308\n", encoding="utf-8")
+    proc = run_cli("summarize", "--input", big, "--out", tmp_path / "x.json", cwd=tmp_path)
+    assert "frequencies too large" in one_line_error(proc)
     assert not (tmp_path / "x.json").exists()
 
 
@@ -231,6 +238,13 @@ BAD_FIT_FIELDS = [
     # n_params and converged must agree with the geometric2 params at R = 10
     ("converged", "false", "converged must be True for these params, got 'false'"),
     ("n_params", 1, "n_params must be 2 for these params, got 1"),
+    ("kind", "zeta1", "kind must be 'geometric2' for these params, got 'zeta1'"),
+    # a string would otherwise load as its characters
+    ("warnings", "abc", "warnings must be a list of strings, got 'abc'"),
+    ("warnings", [1], "warnings must be a list of strings, got [1]"),
+    # keys as_dict never writes, at the top and in params
+    ("extra", 1, "unknown fit file key 'extra'"),
+    ("bogus", 1, "unknown model parameter 'bogus'"),
 ]
 
 
@@ -241,7 +255,7 @@ def test_cross_apply_fit_file_with_fractional_count_is_one_line_error(tmp_path, 
     stored = {
         "kind": "geometric2", "params": {"kind": "geometric2", "R": 10, "N": 24, "q": 0.4},
         "loglik": -1.0, "n_params": 2, "converged": True, "iterations": 1, "warnings": []}
-    (stored["params"] if field == "R" else stored)[field] = bad
+    (stored["params"] if field in ("R", "bogus") else stored)[field] = bad
     fit_path = tmp_path / "fit.json"
     fit_path.write_text(json.dumps(stored), encoding="utf-8")
     out = tmp_path / "ca.json"
@@ -532,7 +546,12 @@ def test_simulate_boolean_model_values_are_one_line_errors(tmp_path, model, name
      "error: simulate needs --model (or a model in the --config file)"),
     ({"mode": "other"}, "error: unknown simulate mode 'other'"),
     ({"ensemble": []}, "error: ensemble must contain the true model kind"),
-], ids=["unknown-kind", "ensemble-not-a-list", "no-model", "unknown-mode", "ensemble-empty"])
+    ({"trails": 5}, "error: bad simulation configuration: unknown setting 'trails'"),
+    ({"sizes": [10]}, "error: bad simulation configuration: unknown setting 'sizes'"),
+    ({"model": {"kind": "geometric1", "R": 24, "N": 24, "q": 0.4, "bogus": 1}},
+     "error: bad simulation configuration: unknown model parameter 'bogus'"),
+], ids=["unknown-kind", "ensemble-not-a-list", "no-model", "unknown-mode", "ensemble-empty",
+        "unknown-key", "old-sizes-key", "unknown-model-key"])
 def test_simulate_error_lines_are_prefixed_only_for_unreadable_settings(tmp_path, config, line):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(config), encoding="utf-8")
@@ -556,13 +575,6 @@ def test_zeta1_past_a_million_ranks_fails_at_once_and_select_keeps_the_other_row
     assert [rows[k]["error"] for k in ("zeta2", "geometric1", "geometric2")] == [None] * 3
 
 
-def readme_cli_commands() -> list[list[str]]:
-    """The argument lists of the README's `## CLI` block, one per command."""
-    text = (REPO / "README.md").read_text(encoding="utf-8")
-    block = text.split("## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
-    return [shlex.split(line)[1:] for line in block.replace("\\\n", " ").splitlines()]
-
-
 def files_under(root: Path) -> set:
     return {p for p in root.rglob("*") if p.is_file()}
 
@@ -570,8 +582,7 @@ def files_under(root: Path) -> set:
 def test_every_readme_command_writes_one_manifest_of_its_run(tmp_path):
     (tmp_path / "data").mkdir()
     shutil.copy(DEMO, tmp_path / "data" / DEMO.name)
-    commands = [["data/demo_synthetic.tsv" if a == "other.tsv" else a for a in argv]
-                for argv in readme_cli_commands()]
+    commands = readme_cli_commands()
     assert {argv[0] for argv in commands} == {"summarize", "fit", "select", "diagnose",
                                               "cross-apply", "simulate"}
     for argv in commands:

@@ -10,6 +10,7 @@ from rankfit import (
     ModelParams,
     Q_INTERVAL,
     RankHistogram,
+    SummaryStats,
     expected_frequency,
     fit,
     geometric1,
@@ -38,11 +39,12 @@ def test_optimizer_returns_the_interval_end_of_a_monotone_objective(lo, hi, init
     assert _maximize(lambda x: -math.exp(-x), lo, hi, init)[0] == hi
 
 
-def test_optimizer_rejects_nan():
-    def objective(x):
-        return float("nan") if x > 0.7 else -x
-    with pytest.raises(ValueError, match="NaN"):
-        _maximize(objective, 0.0, 1.0, None)
+@pytest.mark.parametrize("field", ["F0", "F1", "FlogR"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_summary_stats_reject_non_finite_values_so_no_fit_sees_them(field, value):
+    # the objective is finite or -inf on finite stats; NaN could only come from these
+    with pytest.raises(ValueError, match=f"^{field} must be finite, got"):
+        SummaryStats(**{"F0": 10.0, "F1": 20.0, "FlogR": 5.0, "r_max": 3, field: value})
 
 
 def test_optimizer_matches_grid_oracle_on_geometric_objective():

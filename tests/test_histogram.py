@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rankfit import ParseError, RankHistogram, parse_dataset, summarize
+from rankfit import ParseError, RankHistogram, SummaryStats, parse_dataset, summarize
 
 
 def test_parse_assigns_ranks_by_descending_frequency_with_tie_warning():
@@ -80,6 +80,20 @@ def test_histogram_invariants_enforced():
         RankHistogram.from_frequencies([1.0, 0.0])  # zero frequency
     with pytest.raises(ValueError):
         RankHistogram.from_frequencies([])
+    with pytest.raises(ValueError, match="one name per rank"):
+        RankHistogram(frequencies=(2.0, 1.0), names=("a",))
+
+
+@pytest.mark.parametrize("F0, F1, FlogR, r_max, named", [
+    (0.0, 0.0, 0.0, 1, "0 < F0 <= F1 <= F0\\*r_max"),
+    (10.0, 9.0, 1.0, 2, "0 < F0 <= F1 <= F0\\*r_max"),   # mean rank below 1
+    (10.0, 31.0, 1.0, 3, "0 < F0 <= F1 <= F0\\*r_max"),  # mean rank above r_max
+    (10.0, 15.0, -1.0, 2, "FlogR must be >= 0"),
+    (10.0, 10.0, 0.5, 1, "zero iff r_max == 1"),
+])
+def test_summary_stats_reject_moments_no_histogram_has(F0, F1, FlogR, r_max, named):
+    with pytest.raises(ValueError, match=named):
+        SummaryStats(F0=F0, F1=F1, FlogR=FlogR, r_max=r_max)
 
 
 def test_summarize_example():

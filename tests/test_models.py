@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rankfit import (
+    ExponentialForm,
     ModelKind,
     ModelParams,
     RankHistogram,
@@ -209,6 +210,31 @@ def test_model_params_validation():
         ModelParams(kind=ModelKind.GEOMETRIC1, R=10, N=24, q=0.5)  # R != N
     with pytest.raises(ValueError):
         ModelParams(kind=ModelKind.ZETA2, R=5, N=24, alpha=1.0, q=0.5)
+    with pytest.raises(ValueError, match="geometric kinds take q, not alpha"):
+        ModelParams(kind=ModelKind.GEOMETRIC2, R=5, N=24, alpha=1.0, q=0.5)
+    for N in (0, 24.0):
+        with pytest.raises(ValueError, match="N must be a positive integer"):
+            ModelParams(kind=ModelKind.ZETA2, R=1, N=N, alpha=1.0)
+
+
+@pytest.mark.parametrize("call, named", [
+    (lambda: harmonic(1.0, 0), "R must be >= 1"),
+    (lambda: harmonic(-0.5, 24), "alpha must be a finite real >= 0"),
+    (lambda: harmonic(math.nan, 24), "alpha must be a finite real >= 0"),
+    (lambda: harmonic(math.inf, 24), "alpha must be a finite real >= 0"),
+    (lambda: geom_norm(0.0, 24), "q must lie in"),
+    (lambda: geom_norm(1.0, 24), "q must lie in"),
+    (lambda: geom_norm(0.5, 0), "R must be >= 1"),
+    (lambda: to_exponential_form(1.0, 0.5), "q must lie in"),
+    (lambda: to_exponential_form(0.5, 0.0), "c must be positive"),
+    (lambda: ExponentialForm(c_prime=0.0, beta=1.0), "c_prime and beta must be positive"),
+    (lambda: ExponentialForm(c_prime=1.0, beta=-1.0), "c_prime and beta must be positive"),
+], ids=["harmonic-R0", "harmonic-negative", "harmonic-nan", "harmonic-inf", "geom_norm-q0",
+        "geom_norm-q1", "geom_norm-R0", "exp-form-q1", "exp-form-c0", "exp-form-c_prime0",
+        "exp-form-beta-negative"])
+def test_normalizers_and_exponential_form_reject_bad_arguments(call, named):
+    with pytest.raises(ValueError, match=named):
+        call()
 
 
 def test_model_params_json_round_trip():

@@ -44,6 +44,9 @@ def test_aicc_rejects_tiny_samples():
         aicc(-1.0, 2, 3.0)
     with pytest.raises(ValueError):
         aicc(-1.0, 1, 2.0)
+    for score in (aicc, bic):
+        with pytest.raises(ValueError, match="K must be >= 1"):
+            score(-1.0, 0, 100.0)
 
 
 def test_bic_examples():
@@ -94,6 +97,12 @@ def test_evidence_ratio_basics():
 def test_bic_evidence_closed_form_sqrt_f0():
     # equal likelihoods, one extra parameter, F0=36: ratio is exactly 6
     assert bic_evidence_ratio(-8.0, 1, -8.0, 2, 36.0) == 6.0
+
+
+def test_evidence_ratios_saturate_to_inf_past_the_double_range():
+    # exp(1000) overflows; the ratio is +inf, not an OverflowError
+    assert aicc_evidence_ratio(0.0, 1, -1000.0, 1, 100.0) == math.inf
+    assert bic_evidence_ratio(0.0, 1, -1000.0, 1, 100.0) == math.inf
 
 
 def test_evidence_ratio_paths_agree():
@@ -194,6 +203,8 @@ def test_select_restricted_ensemble():
     table = select(h, ensemble=(ModelKind.ZETA1, ModelKind.ZETA2))
     assert len(table.rows) == 2
     assert {r.kind for r in table.rows} == {ModelKind.ZETA1, ModelKind.ZETA2}
+    with pytest.raises(KeyError, match="geometric1"):
+        table.row("geometric1")
 
 
 def test_select_tie_breaks_toward_fewer_parameters():

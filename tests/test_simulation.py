@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
-import rankfit.models
 import rankfit.selection
 import rankfit.simulation
 from rankfit import (
@@ -76,13 +75,14 @@ def test_sample_counts_int_alpha_is_float_alpha():
 
 
 def test_undersampling_builds_the_probability_vector_once(monkeypatch):
+    # every pmf value goes through the family's formula p: one call per build
+    # of the vector, one per rank if pmf were called rank by rank
     calls = []
-    for module in (rankfit.models, rankfit.simulation):
-        real = module.pmf
-        monkeypatch.setattr(module, "pmf",
-                            lambda m, r, real=real: calls.append(r) or real(m, r))
+    family = ModelKind.ZETA1.family
+    monkeypatch.setattr(ModelKind.ZETA1, "family", family._replace(
+        p=lambda alpha, H, r: calls.append(r) or family.p(alpha, H, r)))
     undersampling_probability(zeta1(1.3, 24), 300, trials=50, seed=1)
-    assert len(calls) == 1
+    assert len(calls) == 1 and len(calls[0]) == 24
 
 
 @pytest.mark.parametrize("model", [geometric1(0.2, 24), zeta2(1.0, 24)])
