@@ -4,13 +4,13 @@ The free scalar of each kind is maximized over a fixed interval: alpha on
 [0, 1e6], q on [1e-9, 1 - 1e-9] (the open unit interval realized with an
 inset). 2-parameter kinds pin the truncation rank to R = r_max before the
 scalar search, since the log-likelihood is -inf below r_max and strictly
-decreasing above it. The search is fixed: a scan of 1025 equally spaced
-points (plus, for geometric kinds, the start q = 1/mean_rank) brackets the
-maximum, and golden-section search shrinks the bracket below 1e-9. Each
-point evaluates the closed form in F0, F1 and FlogR (the family's
-objective in models); no model object is built per point. Zeta
-points past the short-cut threshold of models.harmonic (alpha >= about
-54 + log2(R - 1): all scan points but alpha = 0) cost O(1), not O(R).
+decreasing above it. The search is the same for every kind: a scan of 1025
+equally spaced points brackets the maximum, and golden-section search
+shrinks the bracket below 1e-9. Each point evaluates the closed form in F0,
+F1 and FlogR (the family's objective in models); no model object is built
+per point, and since SummaryStats holds only finite moments no value is
+NaN. Zeta points past the short-cut threshold of models.harmonic (alpha >=
+about 54 + log2(R - 1): all scan points but alpha = 0) cost O(1), not O(R).
 
 Two rules cover the edge cases. At R = 1 the likelihood is flat, and the
 fit is unconverged at the interval midpoint. Otherwise the log-likelihood
@@ -94,31 +94,25 @@ class FitResult:
         return result
 
 
-def _maximize(objective: Callable[[float], float], lo: float, hi: float,
-              init: float | None) -> tuple[float, float, int]:
+def _maximize(objective: Callable[[float], float], lo: float, hi: float) -> tuple[float, float, int]:
     """Maximize a unimodal objective on [lo, hi]: (argmax, value, evaluations).
 
-    The scan points (and init, if inside the interval) bracket the maximum;
-    golden-section search shrinks the winning bracket below _TOL. If the
-    scan's value at lo or hi is >= the refined value, that end is returned
-    exactly.
+    The scan points bracket the maximum; golden-section search shrinks the
+    winning bracket below _TOL. If the scan's value at lo or hi is >= the
+    refined value, that end is returned exactly.
     """
     xs = [lo + (hi - lo) * k / (_SCAN_POINTS - 1) for k in range(_SCAN_POINTS)]
     xs[-1] = hi
-    if init is not None and lo < init < hi:
-        xs.append(init)
-        xs.sort()
     values = list(map(objective, xs))
 
     best = values.index(max(values))
-    a = xs[best - 1] if best > 0 else xs[0]
-    b = xs[best + 1] if best + 1 < len(xs) else xs[-1]
+    a, b = xs[max(best - 1, 0)], xs[min(best + 1, _SCAN_POINTS - 1)]
 
     # golden-section refinement on [a, b]
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
     f1, f2 = objective(x1), objective(x2)
-    evals = len(xs) + 3  # the scan, x1, x2 and x_best; then one per step
+    evals = _SCAN_POINTS + 3  # the scan, x1, x2 and x_best; then one per step
     while b - a > _TOL:
         evals += 1
         if f1 >= f2:
@@ -170,7 +164,7 @@ def fit(kind: ModelKind | str, hist: RankHistogram | SummaryStats,
         notes = (f"degenerate fit: r_max=1 makes {name} unidentifiable "
                  f"(flat likelihood); returning the interval midpoint",)
     else:
-        argmax, value, evals = _maximize(family.objective(s, R), lo, hi, family.start(s))
+        argmax, value, evals = _maximize(family.objective(s, R), lo, hi)
         notes = ()
         if argmax in (lo, hi):
             notes = (f"boundary: optimum at the end {name}={argmax!r} of [{lo!r}, {hi!r}]",)

@@ -205,15 +205,14 @@ def geom_norm(q: float, R: int) -> float:
 class _Family(NamedTuple):
     """One family: its scalar's name and search interval, the normalizer
     norm(scalar, R), the pmf p(scalar, norm, r) at an int rank or a numpy float
-    array of ranks, the closed-form log-likelihood objective(stats, R)(scalar)
-    on 1..R for r_max <= R, and the start(stats) the optimizer's scan adds, or None."""
+    array of ranks, and the closed-form log-likelihood objective(stats, R)(scalar)
+    on 1..R for r_max <= R. The fit's search reads only interval and objective."""
 
     scalar_name: str
     interval: tuple[float, float]
     norm: Callable[[float, int], float]
     p: Callable
     objective: Callable[[SummaryStats, int], Callable[[float], float]]
-    start: Callable[[SummaryStats], float | None]
 
 
 def _zeta_objective(s: SummaryStats, R: int) -> Callable[[float], float]:
@@ -234,14 +233,13 @@ _ZETA = _Family(
     scalar_name="alpha", interval=ALPHA_INTERVAL,
     norm=lambda alpha, R: harmonic(alpha, R),
     p=lambda alpha, H, r: r ** -alpha / H,
-    objective=_zeta_objective, start=lambda s: None,
+    objective=_zeta_objective,
 )
 _GEOMETRIC = _Family(
     scalar_name="q", interval=Q_INTERVAL,
     norm=lambda q, R: geom_norm(q, R),
     p=lambda q, c, r: c * (1.0 - q) ** (r - 1),
-    # start: the untruncated geometric MLE; 1, outside the interval, on one-rank data
-    objective=_geometric_objective, start=lambda s: 1.0 / s.mean_rank,
+    objective=_geometric_objective,
 )
 
 

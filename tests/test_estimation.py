@@ -27,16 +27,15 @@ from _oracles import ZetaGridOracle, grid_mle_q, random_histogram, stats_of
 # ------------------------------------------------------------------ _maximize
 
 def test_optimizer_finds_parabola_maximum():
-    argmax, _, _ = _maximize(lambda x: -(x - 0.25) ** 2, 0.0, 1.0, None)
+    argmax, _, _ = _maximize(lambda x: -(x - 0.25) ** 2, 0.0, 1.0)
     assert abs(argmax - 0.25) <= 1e-9
 
 
 @pytest.mark.parametrize("lo, hi", [(0.0, 1.0), ALPHA_INTERVAL, Q_INTERVAL])
-@pytest.mark.parametrize("init", [None, 0.3])
-def test_optimizer_returns_the_interval_end_of_a_monotone_objective(lo, hi, init):
-    assert _maximize(lambda x: x, lo, hi, init)[:2] == (hi, hi)
-    assert _maximize(lambda x: -x, lo, hi, init)[:2] == (lo, -lo)
-    assert _maximize(lambda x: -math.exp(-x), lo, hi, init)[0] == hi
+def test_optimizer_returns_the_interval_end_of_a_monotone_objective(lo, hi):
+    assert _maximize(lambda x: x, lo, hi)[:2] == (hi, hi)
+    assert _maximize(lambda x: -x, lo, hi)[:2] == (lo, -lo)
+    assert _maximize(lambda x: -math.exp(-x), lo, hi)[0] == hi
 
 
 @pytest.mark.parametrize("field", ["F0", "F1", "FlogR"])
@@ -55,7 +54,7 @@ def test_optimizer_matches_grid_oracle_on_geometric_objective():
     def objective(q):
         return log_likelihood(geometric2(q, r_max), s)
 
-    argmax, value, _ = _maximize(objective, *Q_INTERVAL, None)
+    argmax, value, _ = _maximize(objective, *Q_INTERVAL)
     q_star, ll_star = grid_mle_q(F0, F1, r_max)
     assert abs(argmax - q_star) <= 1e-6
     assert abs(value - ll_star) <= 1e-8
@@ -70,7 +69,7 @@ def test_optimizer_deterministic():
     def objective(q):
         return log_likelihood(geometric2(q, s.r_max), s)
 
-    assert _maximize(objective, *Q_INTERVAL, None) == _maximize(objective, *Q_INTERVAL, None)
+    assert _maximize(objective, *Q_INTERVAL) == _maximize(objective, *Q_INTERVAL)
 
 
 # ------------------------------------------------------------------------ fit
