@@ -3,13 +3,17 @@
 Every command writes its primary outputs and returns what it read and wrote;
 ``main`` then writes the run manifest (command, input digests, parameters and
 produced files) and is the one place a failure becomes an ``error:`` line.
+It holds a command's notes on stderr back until the command has succeeded,
+so a failed run prints its ``error:`` line alone.
 Outputs are fully determined by inputs and flags, so reruns are byte-identical.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import math
 import sys
 from pathlib import Path
@@ -286,10 +290,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _write_manifest(args, *args.func(args))
+        with contextlib.redirect_stderr(io.StringIO()) as notes:
+            _write_manifest(args, *args.func(args))
     except (OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         sys.exit(1)
+    sys.stderr.write(notes.getvalue())
     return 0
 
 

@@ -3,10 +3,12 @@
 Each trial is one multinomial draw of its per-rank counts over the R-point
 pmf (R <= 10**6), so a trial costs O(R) time and memory whatever its
 number of draws. The probability vector is built once per model and kept
-on it, so every trial of one call draws from the same vector. Randomness
-comes from numpy's PCG64 generator. Each trial derives its own substream
-from (seed, indices) through SeedSequence, so results do not depend on
-execution order; identical configurations reproduce outputs bit for bit.
+on it, so every trial of one call draws from the same vector. Trial t draws
+from default_rng(SeedSequence((seed, *key, t)).generate_state(1, uint64)[0])
+(numpy's PCG64), key () in undersampling_probability and (i,) for the i-th
+sample size in recovery_experiment. The seeds are hashed in blocks of trials
+with SeedSequence's result, so results do not depend on execution order and
+identical configurations reproduce outputs bit for bit.
 
 undersampling_probability and recovery_experiment share one trial loop,
 _trial_counts. Recovery selects on the SummaryStats of each trial's
@@ -19,6 +21,7 @@ undersampling_probability, recovery_experiment), not on import.
 
 from __future__ import annotations
 
+import itertools
 import math
 import statistics
 from dataclasses import asdict, dataclass
@@ -77,9 +80,56 @@ class UndersamplingEstimate(NamedTuple):
     half_width: float
 
 
-def _child_seed(seed: int, *key: int) -> int:
+_BLOCK = 1 << 12  # seeds hashed at once; a power of two, so no block straddles t = 2**32
+
+
+def _hasher(const: int, mult: int):
+    """O'Neill's hashmix on uint32 arrays; its multiplier steps on each call."""
+    def hashmix(v):
+        nonlocal const
+        v, const = v ^ const, const * mult & 0xFFFFFFFF
+        v = v * const
+        return v ^ v >> 16
+    return hashmix
+
+
+def _stream_seeds(*entropy) -> list[int]:
+    """int(SeedSequence(row).generate_state(1, np.uint64)[0]) for each row
+    of the broadcast arrays entropy, in C order: numpy's hash (O'Neill's
+    seed_seq) on uint32 arrays. A value is one word, two from 2**32 on, so
+    all values of one array must lie on the same side of 2**32."""
     import numpy as np
-    return int(np.random.SeedSequence((seed, *key)).generate_state(1, np.uint64)[0])
+    words = []
+    for col in np.broadcast_arrays(*(np.asarray(c, np.uint64) for c in entropy)):
+        high = col >> 32
+        words += [col.astype(np.uint32)] + ([high.astype(np.uint32)] if high.any() else [])
+    hashmix = _hasher(0x43B0D7E5, 0x931E8875)
+    pool = [hashmix(w) for w in (words + [np.zeros_like(words[0])] * 4)[:4]]
+
+    def mix(dst, w):
+        r = pool[dst] * 0xCA01F9DD - hashmix(w) * 0x4973F715
+        pool[dst] = r ^ r >> 16
+
+    for src, dst in itertools.permutations(range(4), 2):
+        mix(dst, pool[src])
+    for w, dst in itertools.product(words[4:], range(4)):
+        mix(dst, w)
+    state = _hasher(0x8B51F9DD, 0x58F38DED)
+    lo, hi = (state(w).astype(np.uint64) for w in pool[:2])
+    return (lo | hi << 32).ravel().tolist()
+
+
+def _trial_seeds(seed: int, trials: int, keys: int = 0):
+    """Yield the seed of each trial's substream: that of (seed, t) for
+    t < trials or, given keys, of (seed, i, t) for i < keys and t < trials,
+    i-major. Keys share a block when there are fewer trials than _BLOCK."""
+    import numpy as np
+    per = max(1, _BLOCK // trials)
+    for i0 in range(0, max(keys, 1), per):
+        i = np.arange(i0, min(i0 + per, max(keys, 1)), dtype=np.uint64)[:, None]
+        for t0 in range(0, trials, _BLOCK):
+            t = np.arange(t0, min(t0 + _BLOCK, trials), dtype=np.uint64)
+            yield from _stream_seeds(seed, *((i,) if keys else ()), t)
 
 
 def sample_counts(m: ModelParams, n: int, seed: int):
@@ -114,11 +164,11 @@ def sample(m: ModelParams, n: int, seed: int) -> RankHistogram:
     )
 
 
-def _trial_counts(m: ModelParams, n: int, trials: int, seed: int, *key: int):
-    """Yield the per-rank counts of each trial's n draws from m; trial t
-    draws from the substream of (seed, *key, t)."""
-    for t in range(trials):
-        yield sample_counts(m, n, _child_seed(seed, *key, t))
+def _trial_counts(m: ModelParams, n: int, trials: int, seeds):
+    """Yield the per-rank counts of trials runs of n draws from m, each run
+    drawing from the next seed of the iterator seeds."""
+    for child in itertools.islice(seeds, trials):
+        yield sample_counts(m, n, child)
 
 
 def undersampling_probability(m: ModelParams, n: int, trials: int,
@@ -132,7 +182,7 @@ def undersampling_probability(m: ModelParams, n: int, trials: int,
     import numpy as np
     trials, seed = _whole(trials, "trials", 1, 2 ** 63), _whole(seed, "seed", 0, 2 ** 64)
     under = 0
-    for counts in _trial_counts(m, n, trials, seed):
+    for counts in _trial_counts(m, n, trials, _trial_seeds(seed, trials)):
         under += int(np.count_nonzero(counts)) < m.N
     p = under / trials
     half_width = 1.96 * math.sqrt(p * (1.0 - p) / trials) + 0.5 / trials
@@ -176,14 +226,15 @@ def recovery_experiment(cfg: SimulationConfig) -> RecoveryStats:
     true_kind = cfg.model.kind
     truth = cfg.model.scalar
 
+    seeds = _trial_seeds(cfg.seed, cfg.trials, len(cfg.sample_sizes))
     per_size = []
-    for i_size, n in enumerate(cfg.sample_sizes):
+    for n in cfg.sample_sizes:
         errors = []
         aicc_hits = 0
         bic_hits = 0
         undersampled = 0
         failures = 0
-        for counts in _trial_counts(cfg.model, n, cfg.trials, cfg.seed, i_size):
+        for counts in _trial_counts(cfg.model, n, cfg.trials, seeds):
             stats = _summary(sorted((float(c) for c in counts.tolist() if c), reverse=True))
             try:
                 _check_domain(true_kind.n_params, stats.F0)

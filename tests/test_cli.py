@@ -89,6 +89,17 @@ def test_summarize_overflowing_frequencies_is_one_line_error(tmp_path):
     assert not (tmp_path / "x.json").exists()
 
 
+def test_failed_command_prints_no_parse_note(tmp_path):
+    # the tie note would precede the error line if notes were printed at parse time
+    tied = tmp_path / "tied.tsv"
+    tied.write_text("a\t1e308\nb\t1e308\n", encoding="utf-8")
+    proc = run_cli("summarize", "--input", tied, "--out", tmp_path / "x.json", cwd=tmp_path)
+    assert "frequencies too large" in one_line_error(proc)
+    tied.write_text("a\t5\nb\t5\n", encoding="utf-8")
+    proc = run_cli("summarize", "--input", tied, "--out", tmp_path / "x.json", cwd=tmp_path)
+    assert proc.returncode == 0 and proc.stderr.startswith("note: tie at frequency")
+
+
 def test_summarize_malformed_row_cites_line(tmp_path):
     bad = tmp_path / "bad.tsv"
     bad.write_text("label\tfrequency\na\t5\nb\toops\n", encoding="utf-8")

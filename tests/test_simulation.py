@@ -27,9 +27,14 @@ from rankfit import (
 )
 
 from rankfit.histogram import _summary
-from rankfit.simulation import _child_seed
+from rankfit.simulation import _BLOCK, _stream_seeds, _trial_seeds
 
 from _oracles import prob_all_attested
+
+
+def _seed_sequence_seed(*entropy):
+    """The seed of one trial's stream, one SeedSequence at a time."""
+    return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
 
 
 def test_sample_degenerate_support():
@@ -249,7 +254,7 @@ def test_recovery_trial_stats_are_those_of_the_sampled_histogram(N, monkeypatch)
         built.clear()
         selected.clear()
         recovery_experiment(SimulationConfig(seed=13, trials=3, sample_sizes=sizes, model=m))
-        expected = [summarize(sample(m, n, _child_seed(13, i, t)))
+        expected = [summarize(sample(m, n, _seed_sequence_seed(13, i, t)))
                     for i, n in enumerate(sizes) for t in range(3)]
         assert [s.as_dict() for s in built] == [s.as_dict() for s in expected]
         # select sees exactly the trials whose true kind AICc can score (F0 > K + 1)
@@ -332,3 +337,65 @@ def test_sample_sizes_stay_exact_ints():
     d = recovery_experiment(cfg).as_dict()
     assert d["sample_sizes"] == [big, 40]
     assert [s["sample_size"] for s in d["per_size"]] == [big, 40]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1])
+@pytest.mark.parametrize("key", [(), (3,), (2 ** 40,)])
+@pytest.mark.parametrize("start, stop", [
+    (0, _BLOCK), (2 ** 32 - _BLOCK, 2 ** 32), (2 ** 32 - 3, 2 ** 32), (2 ** 32, 2 ** 32 + 3),
+    (2 ** 63 - 5, 2 ** 63)])
+def test_stream_seeds_are_numpy_seed_sequence_seeds(seed, key, start, stop):
+    # a block of trials, checked at both ends; the blocks ending at 2**32
+    # start just below the point where t becomes two entropy words
+    t = np.arange(start, stop, dtype=np.uint64)
+    got = _stream_seeds(seed, *key, t)
+    assert len(got) == len(t)
+    for j in (0, 1, len(t) - 2, len(t) - 1):
+        assert got[j] == _seed_sequence_seed(seed, *key, int(t[j]))
+
+
+@pytest.mark.parametrize("trials, keys", [
+    (1, 0), (1, 4), (3, 5), (_BLOCK, 2), (_BLOCK + 1, 0), (_BLOCK // 2 + 1, 3)])
+def test_trial_seeds_run_key_major_through_every_block(trials, keys):
+    expected = [_seed_sequence_seed(7, *([i] if keys else []), t)
+                for i in range(max(keys, 1)) for t in range(trials)]
+    assert list(_trial_seeds(7, trials, keys)) == expected
+
+
+def _recorded_counts(monkeypatch):
+    drawn = []
+    monkeypatch.setattr(rankfit.simulation, "sample_counts",
+                        lambda m, n, s: drawn.append(sample_counts(m, n, s)) or drawn[-1])
+    return drawn
+
+
+def _reference_counts(m, n, seed_entropy):
+    # one default_rng per trial, seeded one SeedSequence at a time
+    return [np.random.default_rng(_seed_sequence_seed(*e)).multinomial(n, m._probabilities)
+            for e in seed_entropy]
+
+
+def test_undersampling_longer_than_a_block_is_the_per_trial_loop(monkeypatch):
+    m, n, trials, seed = zeta1(1.3, 24), 60, _BLOCK + 3, 2 ** 33 + 5
+    drawn = _recorded_counts(monkeypatch)
+    est = undersampling_probability(m, n, trials, seed)
+    expected = _reference_counts(m, n, [(seed, t) for t in range(trials)])
+    assert all((a == b).all() for a, b in zip(drawn, expected, strict=True))
+    under = sum(int(np.count_nonzero(c)) < m.N for c in expected)
+    assert est.estimate == under / trials
+
+
+@pytest.mark.parametrize("trials, sizes", [(_BLOCK + 2, (5,)), (_BLOCK // 2 + 1, (5, 9, 20))])
+def test_recovery_longer_than_a_block_is_the_per_trial_loop(trials, sizes, monkeypatch):
+    m = geometric1(0.4, 24)
+    drawn = _recorded_counts(monkeypatch)
+
+    def skip_selection(*args, **kwargs):  # every trial fails fast after its draw
+        raise ValueError("selection skipped")
+
+    monkeypatch.setattr(rankfit.simulation, "select", skip_selection)
+    cfg = SimulationConfig(seed=99, trials=trials, sample_sizes=sizes, model=m)
+    assert [s.failures for s in recovery_experiment(cfg).per_size] == [trials] * len(sizes)
+    expected = [c for i, n in enumerate(sizes)
+                for c in _reference_counts(m, n, [(99, i, t) for t in range(trials)])]
+    assert all((a == b).all() for a, b in zip(drawn, expected, strict=True))
