@@ -84,6 +84,10 @@ def read_json_object(path) -> dict:
     except ValueError as exc:
         raise ValueError(f"{path} is not valid JSON: {exc}") from None
     if not isinstance(obj, dict):
-        raise ValueError(f"{path} must hold a JSON object, not a "
-                         f"{type(obj).__name__}")
+        raise ValueError(f"{path} must hold a JSON object, not {_JSON_TYPES[type(obj)]}")
     return obj
+
+
+# what json.loads returns for each JSON value other than an object, named in JSON terms
+_JSON_TYPES = {type(None): "null", bool: "a boolean", int: "a number", float: "a number",
+               str: "a string", list: "an array"}

@@ -6,13 +6,16 @@ produced files) and is the one place a failure becomes an ``error:`` line.
 It holds a command's notes on stderr back until the command has succeeded,
 so a failed run prints its ``error:`` line alone.
 Outputs are fully determined by inputs and flags, so reruns are byte-identical.
+
+A run loads only the modules its subcommand runs: ``_io``, ``histogram`` and
+``models`` always, the rest inside each ``cmd_*``, so ``summarize`` imports
+nothing more, and only ``simulate`` loads numpy.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import hashlib
 import io
 import math
 import sys
@@ -20,20 +23,8 @@ from pathlib import Path
 
 from . import __version__
 from ._io import json_text, known_keys, read_json_object, read_text, tsv, write_text
-from .diagnostics import diagnose, emit_plot_data
-from .estimation import FitResult, fit
 from .histogram import RankHistogram, parse_dataset, summarize
 from .models import DEFAULT_DOMAIN_CEILING, ModelKind, ModelParams
-from .selection import (
-    DEFAULT_ENSEMBLE,
-    best_params_dict,
-    best_params_tsv,
-    cross_apply,
-    select,
-    selection_table_dict,
-    selection_table_tsv,
-)
-from .simulation import SimulationConfig, recovery_experiment, undersampling_probability
 
 DEFAULT_SEED = 12345
 KIND_NAMES = tuple(k.value for k in ModelKind)
@@ -50,6 +41,12 @@ def _loglik_json(value: float) -> dict:
     return {"loglik": value, "finite": True}
 
 
+def _reason(exc: Exception) -> str:
+    """An exception as the end of an error line; str() of a KeyError is the
+    bare key, so that one says what the key is."""
+    return f"missing key {exc.args[0]!r}" if isinstance(exc, KeyError) else str(exc)
+
+
 def _write_json(obj, path: Path) -> str:
     """Write ``obj`` to ``path`` as strict JSON; returns the text written."""
     text = json_text(obj)
@@ -60,6 +57,7 @@ def _write_json(obj, path: Path) -> str:
 def _write_manifest(args, inputs: list[str], outputs: list[Path], parameters=None):
     """Write run_manifest.json in --out-dir, or else <out>.manifest.json; its
     parameters are the parsed flags unless the command passes its own."""
+    import hashlib
     path = (Path(args.out_dir, "run_manifest.json") if hasattr(args, "out_dir")
             else Path(f"{Path(args.out)}.manifest.json"))
     if parameters is None:
@@ -85,6 +83,7 @@ def _ensemble(names) -> tuple:
     """Model kinds from a comma-separated --ensemble value or a config list;
     only an absent value means the default ensemble."""
     if names is None:
+        from .selection import DEFAULT_ENSEMBLE
         return DEFAULT_ENSEMBLE
     kinds = []
     for name in names.split(",") if isinstance(names, str) else names:
@@ -105,6 +104,7 @@ def cmd_summarize(args):
 
 
 def cmd_fit(args):
+    from .estimation import fit
     hist = _parse_input(args)
     result = fit(ModelKind(args.model), hist, N=args.N)
     out = Path(args.out)
@@ -118,6 +118,8 @@ def cmd_fit(args):
 
 
 def cmd_select(args):
+    from .selection import (best_params_dict, best_params_tsv, select, selection_table_dict,
+                            selection_table_tsv)
     hist = _parse_input(args)
     table = select(hist, N=args.N, ensemble=_ensemble(args.ensemble))
     out_dir = Path(args.out_dir)
@@ -136,6 +138,8 @@ def cmd_select(args):
 
 
 def cmd_diagnose(args):
+    from .diagnostics import diagnose, emit_plot_data
+    from .estimation import fit
     hist = _parse_input(args)
     s = summarize(hist)
     fits = [fit(k, s, N=args.N) for k in _ensemble(args.ensemble)]
@@ -167,6 +171,7 @@ def _simulation_settings(args) -> dict:
 
 
 def cmd_simulate(args):
+    from .simulation import SimulationConfig, recovery_experiment, undersampling_probability
     try:
         settings = _simulation_settings(args)
         if settings["model"]["kind"] is None:
@@ -178,7 +183,7 @@ def cmd_simulate(args):
     except _UsageError:
         raise
     except (ValueError, KeyError, TypeError, OverflowError) as exc:
-        raise ValueError(f"bad simulation configuration: {exc}") from None
+        raise ValueError(f"bad simulation configuration: {_reason(exc)}") from None
 
     # run: the checked settings, which the output and the manifest both record
     if mode == "undersampling":
@@ -203,12 +208,14 @@ def cmd_simulate(args):
 
 
 def cmd_cross_apply(args):
+    from .estimation import FitResult
+    from .selection import cross_apply
     fit_path = Path(args.fit)
     stored = read_json_object(fit_path)
     try:
         fitted = FitResult.from_dict(stored)
     except (ValueError, KeyError, TypeError) as exc:
-        raise ValueError(f"unreadable fit file {fit_path}: {exc}") from None
+        raise ValueError(f"unreadable fit file {fit_path}: {_reason(exc)}") from None
     payload = {"fit": fitted.params.as_dict(), "input": args.input,
                **_loglik_json(cross_apply(fitted, _parse_input(args)))}
     out = Path(args.out)

@@ -276,6 +276,34 @@ def test_cross_apply_fit_file_with_fractional_count_is_one_line_error(tmp_path, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text, named", [
+    ("null", "null"), ("[1, 2, 3]", "an array"), ('"zeta1"', "a string"), ("3", "a number"),
+    ("2.5", "a number"), ("true", "a boolean"),
+])
+@pytest.mark.parametrize("flag", ["--config", "--fit"])
+def test_a_file_not_holding_an_object_is_named_in_json_terms(tmp_path, capsys, flag, text,
+                                                             named):
+    path = tmp_path / "not_an_object.json"
+    path.write_text(text + "\n", encoding="utf-8")
+    argv, prefix = ((["simulate"], "bad simulation configuration: ") if flag == "--config"
+                    else (["cross-apply", "--input", str(DEMO)], ""))
+    with pytest.raises(SystemExit) as exit_:
+        main([*argv, flag, str(path), "--out", str(tmp_path / "out.json")])
+    assert exit_.value.code == 1
+    assert capsys.readouterr().err == (
+        f"error: {prefix}{path} must hold a JSON object, not {named}\n")
+
+
+def test_fit_file_missing_a_key_names_it(tmp_path):
+    fit_path = tmp_path / "fit.json"
+    assert main(["fit", "--input", str(DEMO), "--model", "zeta2", "--out", str(fit_path)]) == 0
+    stored = json.loads(fit_path.read_text())
+    del stored["loglik"]
+    fit_path.write_text(json.dumps(stored), encoding="utf-8")
+    proc = run_cli("cross-apply", "--fit", fit_path, "--input", DEMO, cwd=tmp_path)
+    assert one_line_error(proc) == f"error: unreadable fit file {fit_path}: missing key 'loglik'"
+
+
 def test_cross_apply_missing_fit_file(tmp_path):
     proc = run_cli("cross-apply", "--fit", tmp_path / "absent.json", "--input",
                    DEMO, "--out", tmp_path / "o.json", cwd=tmp_path)
@@ -561,8 +589,10 @@ def test_simulate_boolean_model_values_are_one_line_errors(tmp_path, model, name
     ({"sizes": [10]}, "error: bad simulation configuration: unknown setting 'sizes'"),
     ({"model": {"kind": "geometric1", "R": 24, "N": 24, "q": 0.4, "bogus": 1}},
      "error: bad simulation configuration: unknown model parameter 'bogus'"),
+    ({"model": {"kind": "geometric1", "N": 24, "q": 0.4}},
+     "error: bad simulation configuration: missing key 'R'"),
 ], ids=["unknown-kind", "ensemble-not-a-list", "no-model", "unknown-mode", "ensemble-empty",
-        "unknown-key", "old-sizes-key", "unknown-model-key"])
+        "unknown-key", "old-sizes-key", "unknown-model-key", "missing-model-key"])
 def test_simulate_error_lines_are_prefixed_only_for_unreadable_settings(tmp_path, config, line):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(config), encoding="utf-8")
