@@ -68,11 +68,19 @@ def read_text(path) -> str:
                          f"{exc.start}") from None
 
 
-def known_keys(obj: dict, allowed, what: str) -> dict:
-    """obj, unless it has a key outside allowed: ValueError naming the first."""
-    unknown = sorted(set(obj) - set(allowed))
+def json_object(obj, required, optional, name: str) -> dict:
+    """obj, if it is a JSON object with every required key and no key outside
+    required and optional (any key, if optional is None); otherwise ValueError
+    naming its JSON type, the first missing key or the first unknown key."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{name} must be a JSON object, not "
+                         f"{_JSON_TYPES.get(type(obj), type(obj).__name__)}")
+    missing = [key for key in required if key not in obj]
+    if missing:
+        raise ValueError(f"missing {name} key {missing[0]!r}")
+    unknown = [key for key in obj if optional is not None and key not in {*required, *optional}]
     if unknown:
-        raise ValueError(f"unknown {what} {unknown[0]!r}")
+        raise ValueError(f"unknown {name} key {unknown[0]!r}")
     return obj
 
 
@@ -81,11 +89,9 @@ def read_json_object(path) -> dict:
     text = read_text(path)
     try:
         obj = json.loads(text)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
         raise ValueError(f"{path} is not valid JSON: {exc}") from None
-    if not isinstance(obj, dict):
-        raise ValueError(f"{path} must hold a JSON object, not {_JSON_TYPES[type(obj)]}")
-    return obj
+    return json_object(obj, (), None, str(path))
 
 
 # what json.loads returns for each JSON value other than an object, named in JSON terms

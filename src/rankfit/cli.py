@@ -2,9 +2,10 @@
 
 Every command writes its primary outputs and returns what it read and wrote;
 ``main`` then writes the run manifest (command, input digests, parameters and
-produced files) and is the one place a failure becomes an ``error:`` line.
-It holds a command's notes on stderr back until the command has succeeded,
-so a failed run prints its ``error:`` line alone.
+produced files) and is the one place a failure becomes an ``error:`` line. A
+failed run prints that line alone; notes on stderr wait for success. Each JSON
+input's reader names the field at fault; ``simulate`` and ``cross-apply`` only
+prefix it with ``bad simulation configuration:`` or ``unreadable fit file F:``.
 Outputs are fully determined by inputs and flags, so reruns are byte-identical.
 
 A run loads only the modules its subcommand runs: ``_io``, ``histogram`` and
@@ -22,16 +23,12 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from ._io import json_text, known_keys, read_json_object, read_text, tsv, write_text
+from ._io import json_object, json_text, read_json_object, read_text, tsv, write_text
 from .histogram import RankHistogram, parse_dataset, summarize
-from .models import DEFAULT_DOMAIN_CEILING, ModelKind, ModelParams
+from .models import DEFAULT_DOMAIN_CEILING, ModelKind, ModelParams, _whole
 
 DEFAULT_SEED = 12345
 KIND_NAMES = tuple(k.value for k in ModelKind)
-
-
-class _UsageError(ValueError):
-    """A bad flag or setting, stated in full: simulate adds no configuration prefix."""
 
 
 def _loglik_json(value: float) -> dict:
@@ -39,12 +36,6 @@ def _loglik_json(value: float) -> dict:
     if value == -math.inf:
         return {"loglik": "-inf", "finite": False}
     return {"loglik": value, "finite": True}
-
-
-def _reason(exc: Exception) -> str:
-    """An exception as the end of an error line; str() of a KeyError is the
-    bare key, so that one says what the key is."""
-    return f"missing key {exc.args[0]!r}" if isinstance(exc, KeyError) else str(exc)
 
 
 def _write_json(obj, path: Path) -> str:
@@ -80,19 +71,15 @@ def _parse_input(args) -> RankHistogram:
 
 
 def _ensemble(names) -> tuple:
-    """Model kinds from a comma-separated --ensemble value or a config list;
-    only an absent value means the default ensemble."""
+    """Model kinds from a comma-separated --ensemble value or a config list (any
+    other value is a list of one); only an absent value means all four kinds."""
     if names is None:
-        from .selection import DEFAULT_ENSEMBLE
-        return DEFAULT_ENSEMBLE
-    kinds = []
-    for name in names.split(",") if isinstance(names, str) else names:
-        name = str(name).strip()
-        if name not in KIND_NAMES:
-            raise _UsageError(f"unknown model kind {name!r}; "
-                              f"valid kinds: {', '.join(KIND_NAMES)}")
-        kinds.append(ModelKind(name))
-    return tuple(kinds)
+        return tuple(ModelKind)
+    names = [name.strip() for name in names.split(",")] if isinstance(names, str) else names
+    try:
+        return tuple(map(ModelKind, names if isinstance(names, list) else [names]))
+    except ValueError as exc:
+        raise ValueError(f"ensemble: {exc}") from None
 
 
 def cmd_summarize(args):
@@ -151,57 +138,59 @@ def cmd_diagnose(args):
     return [args.input], files + [report_path]
 
 
-def _simulation_settings(args) -> dict:
-    """The flags as one settings dict; keys of a --config object override them."""
+def _simulation_settings(args) -> tuple:
+    """The checked settings (mode, model, seed, trials, n, sample sizes, ensemble): the
+    flags, overridden by a --config object's keys, each checked if given, used or not."""
+    from .simulation import _sample_sizes
+    # --sizes: digits stay exact ints (float() rounds above 2**53); a non-number stays text
+    flag_sizes = args.sizes and args.sizes.split(",")
+    for i, text in enumerate(flag_sizes or ()):
+        with contextlib.suppress(ValueError):
+            flag_sizes[i] = int(text) if text.strip().isdigit() else float(text)
     settings = {
         "mode": args.mode,
-        "model": {"kind": args.model, "R": args.N if args.R is None else args.R,
-                  "N": args.N, "alpha": args.alpha, "q": args.q},
+        "model": None if args.model is None else {
+            "kind": args.model, "R": args.N if args.R is None else args.R, "N": args.N,
+            "alpha": args.alpha, "q": args.q},
         "seed": DEFAULT_SEED if args.seed is None else args.seed,
         "trials": args.trials,
-        # whole numbers stay exact ints: float() rounds them above 2**53
-        "sample_sizes": [int(s) if s.strip().isdigit() else float(s)
-                         for s in args.sizes.split(",")] if args.sizes else None,
+        "sample_sizes": flag_sizes or None,
         "n": args.n,
         "ensemble": args.ensemble,
     }
     if args.config:
-        settings.update(known_keys(read_json_object(args.config), settings, "setting"))
-    return settings
+        settings.update(json_object(read_json_object(args.config), (), settings, "config"))
+    if settings["model"] is None:
+        raise ValueError("simulate needs --model (or a model in the --config file)")
+    n, sizes = settings["n"], settings["sample_sizes"]
+    return (settings["mode"], ModelParams.from_dict(settings["model"]),
+            _whole(settings["seed"], "seed", 0, 2 ** 64),
+            _whole(settings["trials"], "trials", 1, 2 ** 63),
+            None if n is None else _whole(n, "n", 1, 2 ** 63),
+            None if sizes is None else _sample_sizes(sizes), _ensemble(settings["ensemble"]))
 
 
 def cmd_simulate(args):
     from .simulation import SimulationConfig, recovery_experiment, undersampling_probability
+    # run: the checked settings of the mode, which the output and the manifest both record
     try:
-        settings = _simulation_settings(args)
-        if settings["model"]["kind"] is None:
-            raise _UsageError("simulate needs --model (or a model in the --config file)")
-        mode, n, seed, trials = (settings[k] for k in ("mode", "n", "seed", "trials"))
-        model = ModelParams.from_dict(settings["model"])
-        sizes = None if settings["sample_sizes"] is None else tuple(settings["sample_sizes"])
-        ensemble = _ensemble(settings["ensemble"])
-    except _UsageError:
-        raise
-    except (ValueError, KeyError, TypeError, OverflowError) as exc:
-        raise ValueError(f"bad simulation configuration: {_reason(exc)}") from None
-
-    # run: the checked settings, which the output and the manifest both record
-    if mode == "undersampling":
-        if n is None:
-            raise ValueError("undersampling mode needs --n (draws per trial)")
-        results = undersampling_probability(model, n, trials, seed)._asdict()
-        # it took n, trials and seed only as whole numbers, so int() is exact
-        run = {"mode": mode, "model": model.as_dict(), "n": int(n), "trials": int(trials),
-               "seed": int(seed)}
-    elif mode == "recovery":
-        if not sizes:
-            raise ValueError("recovery mode needs --sizes (comma-separated draw counts)")
-        cfg = SimulationConfig(seed=seed, trials=trials, sample_sizes=sizes, model=model,
-                               ensemble=ensemble)
-        results = recovery_experiment(cfg).as_dict()
-        run = {"mode": mode, **cfg.as_dict()}
-    else:
-        raise ValueError(f"unknown simulate mode {mode!r}")
+        mode, model, seed, trials, n, sizes, ensemble = _simulation_settings(args)
+        if mode == "undersampling":
+            if n is None:
+                raise ValueError("undersampling mode needs --n (draws per trial)")
+            run = {"mode": mode, "model": model.as_dict(), "n": n, "trials": trials, "seed": seed}
+        elif mode == "recovery":
+            if sizes is None:
+                raise ValueError("recovery mode needs --sizes (comma-separated sample sizes)")
+            cfg = SimulationConfig(seed=seed, trials=trials, sample_sizes=sizes, model=model,
+                                   ensemble=ensemble)
+            run = {"mode": mode, **cfg.as_dict()}
+        else:
+            raise ValueError(f"unknown simulate mode {mode!r}")
+    except ValueError as exc:
+        raise ValueError(f"bad simulation configuration: {exc}") from None
+    results = (recovery_experiment(cfg).as_dict() if mode == "recovery"
+               else undersampling_probability(model, n, trials, seed)._asdict())
     out = Path(args.out)
     sys.stdout.write(_write_json({**run, **results}, out))
     return [args.config] if args.config else [], [out], {**run, "out": args.out}
@@ -214,8 +203,8 @@ def cmd_cross_apply(args):
     stored = read_json_object(fit_path)
     try:
         fitted = FitResult.from_dict(stored)
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ValueError(f"unreadable fit file {fit_path}: {_reason(exc)}") from None
+    except ValueError as exc:
+        raise ValueError(f"unreadable fit file {fit_path}: {exc}") from None
     payload = {"fit": fitted.params.as_dict(), "input": args.input,
                **_loglik_json(cross_apply(fitted, _parse_input(args)))}
     out = Path(args.out)

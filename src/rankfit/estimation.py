@@ -26,7 +26,7 @@ import numbers
 from dataclasses import dataclass
 from typing import Callable
 
-from ._io import known_keys
+from ._io import json_object
 from .histogram import RankHistogram, SummaryStats, summarize
 from .models import (ALPHA_INTERVAL, DEFAULT_DOMAIN_CEILING, Q_INTERVAL, ModelKind, ModelParams,
                      _whole)
@@ -70,8 +70,10 @@ class FitResult:
 
     @classmethod
     def from_dict(cls, d: dict) -> "FitResult":
-        """as_dict's inverse; ValueError naming a field that is unknown, of the
-        wrong type or at odds with params."""
+        """as_dict's inverse; ValueError naming a field that is missing, unknown,
+        of the wrong type or at odds with params."""
+        json_object(d, ("kind", "params", "loglik", "n_params", "converged", "iterations"),
+                    ("warnings",), "fit file")
         loglik, notes = d["loglik"], d.get("warnings", [])
         if isinstance(loglik, bool) or not (isinstance(loglik, numbers.Real)
                                             and math.isfinite(loglik)):
@@ -79,13 +81,12 @@ class FitResult:
         if not (isinstance(notes, list) and all(isinstance(n, str) for n in notes)):
             raise ValueError(f"warnings must be a list of strings, got {notes!r}")
         result = cls(
-            params=ModelParams.from_dict(d["params"]),
+            params=ModelParams.from_dict(d["params"], "params"),
             loglik=float(loglik),
             iterations=_whole(d["iterations"], "iterations", 0, 2 ** 63),
             warnings=tuple(notes),
         )
         derived = result.as_dict()  # its kind, n_params and converged follow from params
-        known_keys(d, derived, "fit file key")
         for name, value in (("kind", d["kind"]), ("converged", d["converged"]),
                             ("n_params", _whole(d["n_params"], "n_params", 1, 3))):
             want = derived[name]

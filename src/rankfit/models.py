@@ -25,7 +25,7 @@ from functools import cached_property
 from itertools import repeat
 from typing import Callable, NamedTuple
 
-from ._io import known_keys
+from ._io import json_object
 from .histogram import SummaryStats
 
 __all__ = [
@@ -58,6 +58,10 @@ class ModelKind(str, Enum):
     ZETA2 = "zeta2"
     GEOMETRIC1 = "geometric1"
     GEOMETRIC2 = "geometric2"
+
+    @classmethod
+    def _missing_(cls, value):
+        raise ValueError(f"unknown model kind {value!r}; valid kinds: {', '.join(cls)}")
 
     @property
     def n_params(self) -> int:
@@ -100,18 +104,14 @@ class ModelParams:
             raise ValueError(f"R must satisfy 1 <= R <= N, got R={self.R}, N={self.N}")
         if self.kind.n_params == 1 and self.R != self.N:
             raise ValueError(f"{self.kind.value} has R = N by construction")
-        if self.kind.is_zeta:
-            if self.q is not None:
-                raise ValueError("zeta kinds take alpha, not q")
-            # a bool passes as 0 or 1 (a JSON true); a bool q is out of range already
-            if self.alpha is None or isinstance(self.alpha, bool) or not (
-                    math.isfinite(self.alpha) and self.alpha >= 0):
-                raise ValueError("alpha must be a finite real >= 0")
-        else:
-            if self.alpha is not None:
-                raise ValueError("geometric kinds take q, not alpha")
-            if self.q is None or not 0.0 < self.q < 1.0:
-                raise ValueError("q must lie in the open interval (0, 1)")
+        family = self.kind.family
+        for other in {"alpha", "q"} - {family.scalar_name}:
+            if getattr(self, other) is not None:
+                raise ValueError(f"{family.name} kinds take {family.scalar_name}, not {other}")
+        value = self.scalar
+        # a bool is a number to Python (JSON true is 1), but no scalar
+        if type(value) is bool or not (isinstance(value, numbers.Real) and family.in_domain(value)):
+            raise ValueError(f"{family.domain}, got {value!r}")
 
     @cached_property
     def scalar(self) -> float:
@@ -135,8 +135,8 @@ class ModelParams:
                 self.kind.family.scalar_name: self.scalar}
 
     @classmethod
-    def from_dict(cls, d: dict) -> "ModelParams":
-        known_keys(d, ("kind", "R", "N", "alpha", "q"), "model parameter")
+    def from_dict(cls, d: dict, name: str = "model") -> "ModelParams":
+        json_object(d, ("kind", "R", "N"), ("alpha", "q"), name)
         return cls(kind=ModelKind(d["kind"]), R=_whole(d["R"], "R", 1, 2 ** 63),
                    N=_whole(d["N"], "N", 1, 2 ** 63), alpha=d.get("alpha"), q=d.get("q"))
 
@@ -203,12 +203,15 @@ def geom_norm(q: float, R: int) -> float:
 
 
 class _Family(NamedTuple):
-    """One family: its scalar's name and search interval, the normalizer
-    norm(scalar, R), the pmf p(scalar, norm, r) at an int rank or a numpy float
-    array of ranks, and the closed-form log-likelihood objective(stats, R)(scalar)
-    on 1..R for r_max <= R. The fit's search reads only interval and objective."""
+    """One family: its name, its scalar's name, domain test (stated by domain)
+    and search interval, the normalizer norm(scalar, R), the pmf p(scalar, norm, r)
+    at an int rank or a numpy float array of ranks, and the closed-form
+    log-likelihood objective(stats, R)(scalar) on 1..R for r_max <= R."""
 
+    name: str
     scalar_name: str
+    in_domain: Callable[[float], bool]
+    domain: str
     interval: tuple[float, float]
     norm: Callable[[float, int], float]
     p: Callable
@@ -230,13 +233,15 @@ def _geometric_objective(s: SummaryStats, R: int) -> Callable[[float], float]:
 # norm reaches harmonic and geom_norm through the module globals at call
 # time, so a replaced module attribute is the one every caller uses
 _ZETA = _Family(
-    scalar_name="alpha", interval=ALPHA_INTERVAL,
+    name="zeta", scalar_name="alpha", in_domain=lambda alpha: 0.0 <= alpha < math.inf,
+    domain="alpha must be a finite real >= 0", interval=ALPHA_INTERVAL,
     norm=lambda alpha, R: harmonic(alpha, R),
     p=lambda alpha, H, r: r ** -alpha / H,
     objective=_zeta_objective,
 )
 _GEOMETRIC = _Family(
-    scalar_name="q", interval=Q_INTERVAL,
+    name="geometric", scalar_name="q", in_domain=lambda q: 0.0 < q < 1.0,
+    domain="q must lie in the open interval (0, 1)", interval=Q_INTERVAL,
     norm=lambda q, R: geom_norm(q, R),
     p=lambda q, c, r: c * (1.0 - q) ** (r - 1),
     objective=_geometric_objective,

@@ -42,12 +42,7 @@ __all__ = [
     "best_params_dict",
 ]
 
-DEFAULT_ENSEMBLE = (
-    ModelKind.ZETA1,
-    ModelKind.ZETA2,
-    ModelKind.GEOMETRIC1,
-    ModelKind.GEOMETRIC2,
-)
+DEFAULT_ENSEMBLE = tuple(ModelKind)  # all four kinds, in ModelKind's order
 
 SELECTION_COLUMNS = ("model", "loglik", "AICc", "delta_AICc", "w_AICc",
                      "BIC", "delta_BIC", "w_BIC")

@@ -57,10 +57,7 @@ class SimulationConfig:
     def __post_init__(self):
         object.__setattr__(self, "seed", _whole(self.seed, "seed", 0, 2 ** 64))
         object.__setattr__(self, "trials", _whole(self.trials, "trials", 1, 2 ** 63))
-        if not self.sample_sizes:
-            raise ValueError("sample sizes must not be empty")
-        object.__setattr__(self, "sample_sizes", tuple(
-            _whole(s, "sample sizes", 1, 2 ** 63) for s in self.sample_sizes))
+        object.__setattr__(self, "sample_sizes", _sample_sizes(self.sample_sizes))
         object.__setattr__(self, "ensemble", tuple(map(ModelKind, self.ensemble)))
         if self.model.kind not in self.ensemble:
             raise ValueError("ensemble must contain the true model kind")
@@ -73,6 +70,13 @@ class SimulationConfig:
             "model": self.model.as_dict(),
             "ensemble": [k.value for k in self.ensemble],
         }
+
+
+def _sample_sizes(sizes) -> tuple[int, ...]:
+    """sizes, a non-empty list or tuple of whole numbers, as a tuple of ints."""
+    if not (isinstance(sizes, (list, tuple)) and sizes):
+        raise ValueError(f"sample sizes must be a non-empty list, got {sizes!r}")
+    return tuple(_whole(s, "sample sizes", 1, 2 ** 63) for s in sizes)
 
 
 class UndersamplingEstimate(NamedTuple):

@@ -1,12 +1,19 @@
+import contextlib
+import copy
 import hashlib
+import io
 import json
 import math
+import re
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rankfit.cli
 import rankfit.estimation
@@ -255,7 +262,7 @@ BAD_FIT_FIELDS = [
     ("warnings", [1], "warnings must be a list of strings, got [1]"),
     # keys as_dict never writes, at the top and in params
     ("extra", 1, "unknown fit file key 'extra'"),
-    ("bogus", 1, "unknown model parameter 'bogus'"),
+    ("bogus", 1, "unknown params key 'bogus'"),
 ]
 
 
@@ -291,7 +298,19 @@ def test_a_file_not_holding_an_object_is_named_in_json_terms(tmp_path, capsys, f
         main([*argv, flag, str(path), "--out", str(tmp_path / "out.json")])
     assert exit_.value.code == 1
     assert capsys.readouterr().err == (
-        f"error: {prefix}{path} must hold a JSON object, not {named}\n")
+        f"error: {prefix}{path} must be a JSON object, not {named}\n")
+
+
+@pytest.mark.parametrize("flag", ["--config", "--fit"])
+def test_json_nested_past_the_recursion_limit_is_one_line_error(tmp_path, capsys, flag):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    argv = ["simulate"] if flag == "--config" else ["cross-apply", "--input", str(DEMO)]
+    with pytest.raises(SystemExit) as exit_:
+        main([*argv, flag, str(path), "--out", str(tmp_path / "out.json")])
+    assert exit_.value.code == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and f"{path} is not valid JSON: maximum recursion depth" in lines[0]
 
 
 def test_fit_file_missing_a_key_names_it(tmp_path):
@@ -301,7 +320,8 @@ def test_fit_file_missing_a_key_names_it(tmp_path):
     del stored["loglik"]
     fit_path.write_text(json.dumps(stored), encoding="utf-8")
     proc = run_cli("cross-apply", "--fit", fit_path, "--input", DEMO, cwd=tmp_path)
-    assert one_line_error(proc) == f"error: unreadable fit file {fit_path}: missing key 'loglik'"
+    assert one_line_error(proc) == (
+        f"error: unreadable fit file {fit_path}: missing fit file key 'loglik'")
 
 
 def test_cross_apply_missing_fit_file(tmp_path):
@@ -577,28 +597,45 @@ def test_simulate_boolean_model_values_are_one_line_errors(tmp_path, model, name
     assert not out.exists()
 
 
-@pytest.mark.parametrize("config, line", [
-    ({"ensemble": ["zeta1", "bogus"]},
-     "error: unknown model kind 'bogus'; valid kinds: zeta1, zeta2, geometric1, geometric2"),
-    ({"ensemble": 5}, "error: bad simulation configuration: 'int' object is not iterable"),
-    ({"model": {"kind": None}, "seed": "x"},
-     "error: simulate needs --model (or a model in the --config file)"),
-    ({"mode": "other"}, "error: unknown simulate mode 'other'"),
-    ({"ensemble": []}, "error: ensemble must contain the true model kind"),
-    ({"trails": 5}, "error: bad simulation configuration: unknown setting 'trails'"),
-    ({"sizes": [10]}, "error: bad simulation configuration: unknown setting 'sizes'"),
-    ({"model": {"kind": "geometric1", "R": 24, "N": 24, "q": 0.4, "bogus": 1}},
-     "error: bad simulation configuration: unknown model parameter 'bogus'"),
-    ({"model": {"kind": "geometric1", "N": 24, "q": 0.4}},
-     "error: bad simulation configuration: missing key 'R'"),
-], ids=["unknown-kind", "ensemble-not-a-list", "no-model", "unknown-mode", "ensemble-empty",
-        "unknown-key", "old-sizes-key", "unknown-model-key", "missing-model-key"])
-def test_simulate_error_lines_are_prefixed_only_for_unreadable_settings(tmp_path, config, line):
+SETTINGS_ERRORS = [
+    # every error in the settings, from a flag or a --config key, carries one prefix
+    ((), {"ensemble": ["zeta1", "bogus"]},
+     "ensemble: unknown model kind 'bogus'; valid kinds: zeta1, zeta2, geometric1, geometric2"),
+    ((), {"ensemble": 5},
+     "ensemble: unknown model kind 5; valid kinds: zeta1, zeta2, geometric1, geometric2"),
+    ((), {"model": None, "seed": "x"}, "simulate needs --model (or a model in the --config file)"),
+    ((), {"mode": "other"}, "unknown simulate mode 'other'"),
+    ((), {"ensemble": []}, "ensemble must contain the true model kind"),
+    ((), {"trails": 5}, "unknown config key 'trails'"),
+    ((), {"sizes": [10]}, "unknown config key 'sizes'"),
+    ((), {"model": {"kind": "geometric1", "R": 24, "N": 24, "q": 0.4, "bogus": 1}},
+     "unknown model key 'bogus'"),
+    ((), {"model": {"kind": "geometric1", "N": 24, "q": 0.4}}, "missing model key 'R'"),
+    ((), {"model": 3}, "model must be a JSON object, not a number"),
+    ((), {"model": {"kind": "x", "R": 24, "N": 24, "q": 0.4}},
+     "unknown model kind 'x'; valid kinds: zeta1, zeta2, geometric1, geometric2"),
+    ((), {"model": {"kind": "zeta1", "R": 24, "N": 24, "alpha": "1"}},
+     "alpha must be a finite real >= 0, got '1'"),
+    ((), {"sample_sizes": 10}, "sample sizes must be a non-empty list, got 10"),
+    # recovery mode uses no n, but checks one it is given
+    (("--n", "-5"), {}, "n must be a whole number from 1 to 9223372036854775807, got -5"),
+    (("--sizes", "10,"), {}, "sample sizes must be a whole number from 1 to 9223372036854775807, "
+                             "got ''"),
+]
+
+
+@pytest.mark.parametrize("flags, config, message", SETTINGS_ERRORS, ids=[
+    "unknown-kind", "ensemble-not-a-list", "no-model", "unknown-mode", "ensemble-empty",
+    "unknown-key", "old-sizes-key", "unknown-model-key", "missing-model-key",
+    "model-not-an-object", "unknown-model-kind", "string-alpha", "sizes-not-a-list",
+    "recovery-n-negative", "sizes-trailing-comma"])
+def test_simulate_settings_errors_all_carry_one_prefix(tmp_path, flags, config, message):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(config), encoding="utf-8")
-    proc = run_cli("simulate", "--model", "geometric1", "--q", "0.4", "--sizes", "10",
+    proc = run_cli("simulate", "--model", "geometric1", "--q", "0.4", "--sizes", "10", *flags,
                    "--config", cfg_path, "--out", tmp_path / "s.json", cwd=tmp_path)
-    assert one_line_error(proc) == line
+    assert one_line_error(proc) == f"error: bad simulation configuration: {message}"
+    assert not (tmp_path / "s.json").exists()
 
 
 def test_zeta1_past_a_million_ranks_fails_at_once_and_select_keeps_the_other_rows(tmp_path):
@@ -658,3 +695,97 @@ def test_every_readme_command_writes_one_manifest_of_its_run(tmp_path):
         else:
             expected = {k: v for k, v in vars(args).items() if k not in ("command", "func")}
         assert manifest["parameters"] == expected, argv
+
+
+# ---- fuzz: mutated --config, --fit and dataset files through main, in-process
+
+FUZZ_POOL = [None, True, 3, -5, 2.5, 1e300, "x", [], [1], {}]
+DELETE = object()  # the mutation that deletes the key instead of setting it
+FUZZ_CONFIGS = [
+    {"mode": "recovery", "seed": 7, "trials": 1, "sample_sizes": [40], "n": 40,
+     "ensemble": ["geometric1", "zeta2"],
+     "model": {"kind": "geometric1", "R": 24, "N": 24, "q": 0.4}},
+    {"mode": "undersampling", "seed": 7, "trials": 1, "sample_sizes": [40], "n": 40,
+     "ensemble": ["zeta2"], "model": {"kind": "zeta2", "R": 10, "N": 24, "alpha": 1.2}},
+]
+FUZZ_FIT = {
+    "kind": "geometric2", "params": {"kind": "geometric2", "R": 10, "N": 24, "q": 0.4},
+    "loglik": -1.0, "n_params": 2, "converged": True, "iterations": 1, "warnings": []}
+FUZZ_ROWS = [("label", "frequency"), ("a", "9"), ("b", "5"), ("c", "5"), ("d", "2"), ("e", "1")]
+
+
+def key_paths(obj, prefix=()):
+    """Every key of a JSON object, nested objects' keys included, as a path."""
+    for key, value in obj.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from key_paths(value, prefix + (key,))
+
+
+def mutated(obj, path, value):
+    obj = copy.deepcopy(obj)
+    *parents, key = path
+    target = obj
+    for parent in parents:
+        target = target[parent]
+    if value is DELETE:
+        del target[key]
+    else:
+        target[key] = value
+    return obj
+
+
+@st.composite
+def fuzz_runs(draw):
+    """(argv without --out, path of the mutated file, its text, the key the
+    mutation touched); a dataset row's key is its line."""
+    mutation = st.sampled_from([DELETE, *FUZZ_POOL])
+    kind = draw(st.sampled_from(["config", "fit", "dataset"]))
+    if kind == "dataset":
+        line = draw(st.integers(1, len(FUZZ_ROWS)))
+        value = draw(mutation)
+        rows = [row if i != line else (row[0], json.dumps(value))
+                for i, row in enumerate(FUZZ_ROWS, start=1) if i != line or value is not DELETE]
+        text = "".join(f"{label}\t{freq}\n" for label, freq in rows)
+        return ["select", "--input", "{file}"], "data.tsv", text, f"line {line}"
+    base = FUZZ_FIT if kind == "fit" else draw(st.sampled_from(FUZZ_CONFIGS))
+    path = draw(st.sampled_from(list(key_paths(base))))
+    text = json.dumps(mutated(base, path, draw(mutation)))
+    if kind == "fit":
+        return (["cross-apply", "--fit", "{file}", "--input", str(DEMO)], "fit.json", text,
+                path[-1])
+    return ["simulate", "--trials", "1", "--config", "{file}"], "cfg.json", text, path[-1]
+
+
+def names(line: str, key: str, path: str) -> bool:
+    """Whether line names key as a word, an underscore read as a space, or path."""
+    words = re.escape(key.replace("_", " "))
+    return path in line or re.search(rf"(?<!\w){words}(?!\w)", line.replace("_", " "))
+
+
+PYTHON_TEXTS = ("object is not", "not supported between", "indices must be",
+                "is not a valid ModelKind", "NoneType")
+
+
+@settings(max_examples=400, deadline=None, database=None, derandomize=True)
+@given(fuzz_runs())
+def test_fuzzed_inputs_exit_0_or_name_what_is_wrong(run):
+    argv, name, text, key = run
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp, name))
+        Path(path).write_text(text, encoding="utf-8")
+        out = ["--out-dir", str(Path(tmp, "sel"))] if argv[0] == "select" else [
+            "--out", str(Path(tmp, "out.json"))]
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            try:
+                code = main([path if a == "{file}" else a for a in argv] + out)
+            except SystemExit as exc:
+                code = exc.code
+    lines = stderr.getvalue().splitlines()
+    if code == 0:
+        assert not [line for line in lines if line.startswith("error:")], lines
+        return
+    assert code == 1 and len(lines) == 1 and lines[0].startswith("error: "), (text, lines)
+    assert names(lines[0], key, path), (text, key, lines[0])
+    assert not [t for t in PYTHON_TEXTS if t in lines[0]], (text, lines[0])

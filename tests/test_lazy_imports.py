@@ -103,7 +103,7 @@ def test_import_rankfit_loads_no_submodule(tmp_path):
     (["summarize", "--out", "s.json"], []),
     (["fit", "--model", "zeta2", "--out", "f.json"], ["estimation"]),
     (["select", "--out-dir", "sel"], ["estimation", "selection"]),
-    (["diagnose", "--out-dir", "diag"], ["diagnostics", "estimation", "selection"]),
+    (["diagnose", "--out-dir", "diag"], ["diagnostics", "estimation"]),
     (["cross-apply", "--fit", "stored.json", "--out", "x.json"], ["estimation", "selection"]),
 ], ids=["summarize", "fit", "select", "diagnose", "cross-apply"])
 def test_each_subcommand_loads_only_what_it_runs(tmp_path, argv, extra):
