@@ -63,6 +63,8 @@ def read_text(path) -> str:
         return Path(path).read_text(encoding="utf-8")
     except FileNotFoundError:
         raise FileNotFoundError(f"file not found: {path}") from None
+    except IsADirectoryError:  # "" too, which names the working directory
+        raise IsADirectoryError(f"{path!r} names a directory, not a file") from None
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path} is not UTF-8 text: {exc.reason} at byte "
                          f"{exc.start}") from None

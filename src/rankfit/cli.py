@@ -2,9 +2,9 @@
 
 Every command writes its primary outputs and returns what it read and wrote;
 ``main`` then writes the run manifest (command, input digests, parameters and
-produced files) and is the one place a failure becomes an ``error:`` line. A
-failed run prints that line alone; notes on stderr wait for success. Each JSON
-input's reader names the field at fault; ``simulate`` and ``cross-apply`` only
+produced files) and is the one place a failure, a bad flag included, becomes an
+``error:`` line, printed alone with no usage block; notes on stderr wait for
+success. Each error names what is at fault; ``simulate`` and ``cross-apply`` only
 prefix it with ``bad simulation configuration:`` or ``unreadable fit file F:``.
 Outputs are fully determined by inputs and flags, so reruns are byte-identical.
 
@@ -25,10 +25,9 @@ from pathlib import Path
 from . import __version__
 from ._io import json_object, json_text, read_json_object, read_text, tsv, write_text
 from .histogram import RankHistogram, parse_dataset, summarize
-from .models import DEFAULT_DOMAIN_CEILING, ModelKind, ModelParams, _whole
+from .models import DEFAULT_DOMAIN_CEILING, ModelKind, ModelParams, _kinds, _whole
 
 DEFAULT_SEED = 12345
-KIND_NAMES = tuple(k.value for k in ModelKind)
 
 
 def _loglik_json(value: float) -> dict:
@@ -73,13 +72,8 @@ def _parse_input(args) -> RankHistogram:
 def _ensemble(names) -> tuple:
     """Model kinds from a comma-separated --ensemble value or a config list (any
     other value is a list of one); only an absent value means all four kinds."""
-    if names is None:
-        return tuple(ModelKind)
     names = [name.strip() for name in names.split(",")] if isinstance(names, str) else names
-    try:
-        return tuple(map(ModelKind, names if isinstance(names, list) else [names]))
-    except ValueError as exc:
-        raise ValueError(f"ensemble: {exc}") from None
+    return _kinds(names if isinstance(names, list) or names is None else [names])
 
 
 def cmd_summarize(args):
@@ -212,8 +206,13 @@ def cmd_cross_apply(args):
     return [str(fit_path), args.input], [out]
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # main prints it; add_subparsers makes subparsers of this class
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rankfit",
         description="Fit right-truncated zeta/geometric models to rank-frequency "
                     "data, select among them with AICc/BIC, and probe them with "
@@ -221,6 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    kind_help = f"model kind: {', '.join(ModelKind)}"
 
     def add_input(p):
         p.add_argument("--input", required=True, help="rank-frequency dataset (label<SEP>frequency per line)")
@@ -234,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="maximum-likelihood fit of one model kind")
     add_input(p)
-    p.add_argument("--model", required=True, choices=KIND_NAMES)
+    p.add_argument("--model", required=True, help=kind_help)
     p.add_argument("--N", type=int, default=DEFAULT_DOMAIN_CEILING,
                    help="domain ceiling (default: 24)")
     p.add_argument("--out", default="fit.json", help="fit JSON path")
@@ -258,9 +258,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_diagnose)
 
     p = sub.add_parser("simulate", help="Monte Carlo recovery or undersampling runs")
-    p.add_argument("--mode", choices=("recovery", "undersampling"), default="recovery")
+    p.add_argument("--mode", default="recovery", help="recovery (default) or undersampling")
     p.add_argument("--config", default=None, help="JSON object whose keys override the matching flags")
-    p.add_argument("--model", choices=KIND_NAMES, default=None)
+    p.add_argument("--model", default=None, help=kind_help)
     p.add_argument("--q", type=float, default=None)
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--R", type=int, default=None)
@@ -284,8 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         with contextlib.redirect_stderr(io.StringIO()) as notes:
             _write_manifest(args, *args.func(args))
     except (OSError, ValueError, MemoryError) as exc:

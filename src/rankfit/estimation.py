@@ -144,13 +144,13 @@ def fit(kind: ModelKind | str, hist: RankHistogram | SummaryStats,
     golden-section search of the module docstring. The stats are all a fit
     reads, so ``select`` passes the ones it made and summarizes once.
 
-    Rejects histograms with r_max > N. At R = 1 (a single-rank histogram
-    under a 2-parameter kind, or N = 1) the pmf is the point mass at rank 1
-    whatever the scalar, so the fit returns the interval midpoint with
+    Rejects an N below 1 or not whole, and r_max > N. At R = 1 (a single-rank
+    histogram under a 2-parameter kind, or N = 1) the pmf is the point mass at
+    rank 1 whatever the scalar, so the fit returns the interval midpoint with
     ``converged=False`` and an "unidentifiable" warning; every other fit is
     converged. An optimum at an interval end carries a "boundary:" warning.
     """
-    kind = ModelKind(kind)
+    kind, N = ModelKind(kind), _whole(N, "N", 1, 2 ** 63)
     family = kind.family
     s = hist if isinstance(hist, SummaryStats) else summarize(hist)
     if s.r_max > N:

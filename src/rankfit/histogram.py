@@ -113,6 +113,8 @@ def parse_dataset(text: str, *, delimiter: str = "\t") -> RankHistogram:
     first non-blank line is skipped when its frequency field is
     non-numeric (which covers a ``label\\tfrequency`` header).
     """
+    if delimiter == "":
+        raise ValueError("delimiter must not be empty")
     records: list[tuple[str, float]] = []
     notes: list[str] = []
     seen_first = False

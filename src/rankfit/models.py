@@ -137,8 +137,8 @@ class ModelParams:
     @classmethod
     def from_dict(cls, d: dict, name: str = "model") -> "ModelParams":
         json_object(d, ("kind", "R", "N"), ("alpha", "q"), name)
-        return cls(kind=ModelKind(d["kind"]), R=_whole(d["R"], "R", 1, 2 ** 63),
-                   N=_whole(d["N"], "N", 1, 2 ** 63), alpha=d.get("alpha"), q=d.get("q"))
+        return cls(kind=ModelKind(d["kind"]), N=_whole(d["N"], "N", 1, 2 ** 63),
+                   R=_whole(d["R"], "R", 1, 2 ** 63), alpha=d.get("alpha"), q=d.get("q"))
 
 
 def _whole(value, name: str, lo: int, hi: int) -> int:
@@ -149,6 +149,17 @@ def _whole(value, name: str, lo: int, hi: int) -> int:
             isinstance(value, numbers.Real) and lo <= value < hi and value == int(value)):
         raise ValueError(f"{name} must be a whole number from {lo} to {hi - 1}, got {value!r}")
     return int(value)
+
+
+def _kinds(ensemble=None) -> tuple[ModelKind, ...]:
+    """ensemble's kinds or names (None: all four) as ModelKinds, at least one, each once."""
+    try:
+        kinds = tuple(map(ModelKind, ModelKind if ensemble is None else ensemble))
+    except ValueError as exc:
+        raise ValueError(f"ensemble: {exc}") from None
+    if not kinds or len(set(kinds)) < len(kinds):
+        raise ValueError(f"ensemble must list one or more kinds, each once, got {[k.value for k in kinds]}")
+    return kinds
 
 
 def zeta1(alpha: float, N: int = DEFAULT_DOMAIN_CEILING) -> ModelParams:

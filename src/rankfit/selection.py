@@ -22,7 +22,7 @@ from operator import itemgetter
 from ._io import tsv
 from .estimation import FitResult, fit
 from .histogram import RankHistogram, SummaryStats, summarize
-from .models import DEFAULT_DOMAIN_CEILING, ModelKind, log_likelihood
+from .models import DEFAULT_DOMAIN_CEILING, ModelKind, _kinds, _whole, log_likelihood
 
 __all__ = [
     "DEFAULT_ENSEMBLE",
@@ -188,9 +188,7 @@ def select(hist: RankHistogram | SummaryStats, N: int = DEFAULT_DOMAIN_CEILING,
     keep their error message and are excluded from delta and weight
     normalization; the remaining weights still sum to 1.
     """
-    kinds = tuple(ModelKind(k) for k in (ensemble if ensemble is not None else DEFAULT_ENSEMBLE))
-    if not kinds:
-        raise ValueError("ensemble must not be empty")
+    kinds, N = _kinds(ensemble), _whole(N, "N", 1, 2 ** 63)
     s = hist if isinstance(hist, SummaryStats) else summarize(hist)
 
     rows, fits = [], {}

@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 from .histogram import RankHistogram, _summary
-from .models import _MAX_RANKS, ModelKind, ModelParams, _whole
+from .models import _MAX_RANKS, ModelKind, ModelParams, _kinds, _whole
 from .models import pmf  # noqa: F401  (bench/tracing.py counts calls through this name)
 from .selection import DEFAULT_ENSEMBLE, _check_domain, select
 
@@ -58,7 +58,7 @@ class SimulationConfig:
         object.__setattr__(self, "seed", _whole(self.seed, "seed", 0, 2 ** 64))
         object.__setattr__(self, "trials", _whole(self.trials, "trials", 1, 2 ** 63))
         object.__setattr__(self, "sample_sizes", _sample_sizes(self.sample_sizes))
-        object.__setattr__(self, "ensemble", tuple(map(ModelKind, self.ensemble)))
+        object.__setattr__(self, "ensemble", _kinds(self.ensemble))
         if self.model.kind not in self.ensemble:
             raise ValueError("ensemble must contain the true model kind")
 
@@ -234,10 +234,7 @@ def recovery_experiment(cfg: SimulationConfig) -> RecoveryStats:
     per_size = []
     for n in cfg.sample_sizes:
         errors = []
-        aicc_hits = 0
-        bic_hits = 0
-        undersampled = 0
-        failures = 0
+        aicc_hits = bic_hits = undersampled = failures = 0
         for counts in _trial_counts(cfg.model, n, cfg.trials, seeds):
             stats = _summary(sorted((float(c) for c in counts.tolist() if c), reverse=True))
             try:

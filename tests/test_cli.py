@@ -20,7 +20,8 @@ import rankfit.estimation
 import rankfit.selection
 from conftest import cli_env, readme_cli_commands
 from rankfit._io import json_text
-from rankfit.cli import KIND_NAMES, _write_json, build_parser, main
+from rankfit.cli import _write_json, build_parser, main
+from rankfit.models import ModelKind
 
 REPO = Path(__file__).resolve().parent.parent
 DEMO = REPO / "data" / "demo_synthetic.tsv"
@@ -401,7 +402,7 @@ def test_simulate_trials_and_seed_must_be_whole(tmp_path, trials, seed, named):
 
 
 @pytest.mark.parametrize("model, named", [
-    ({"kind": "geometric2", "R": 10.7, "N": 24.9, "q": 0.4}, "R must be a whole number"),
+    ({"kind": "geometric2", "R": 10.7, "N": 24, "q": 0.4}, "R must be a whole number"),
     ({"kind": "zeta1", "R": 24, "N": 24.9, "alpha": 1.0}, "N must be a whole number"),
     ({"kind": "geometric2", "R": None, "N": 24, "q": 0.4}, "R must be a whole number"),
 ])
@@ -605,7 +606,9 @@ SETTINGS_ERRORS = [
      "ensemble: unknown model kind 5; valid kinds: zeta1, zeta2, geometric1, geometric2"),
     ((), {"model": None, "seed": "x"}, "simulate needs --model (or a model in the --config file)"),
     ((), {"mode": "other"}, "unknown simulate mode 'other'"),
-    ((), {"ensemble": []}, "ensemble must contain the true model kind"),
+    ((), {"ensemble": []}, "ensemble must list one or more kinds, each once, got []"),
+    ((), {"ensemble": ["geometric1", "geometric1"]},
+     "ensemble must list one or more kinds, each once, got ['geometric1', 'geometric1']"),
     ((), {"trails": 5}, "unknown config key 'trails'"),
     ((), {"sizes": [10]}, "unknown config key 'sizes'"),
     ((), {"model": {"kind": "geometric1", "R": 24, "N": 24, "q": 0.4, "bogus": 1}},
@@ -626,6 +629,7 @@ SETTINGS_ERRORS = [
 
 @pytest.mark.parametrize("flags, config, message", SETTINGS_ERRORS, ids=[
     "unknown-kind", "ensemble-not-a-list", "no-model", "unknown-mode", "ensemble-empty",
+    "ensemble-repeated",
     "unknown-key", "old-sizes-key", "unknown-model-key", "missing-model-key",
     "model-not-an-object", "unknown-model-kind", "string-alpha", "sizes-not-a-list",
     "recovery-n-negative", "sizes-trailing-comma"])
@@ -651,6 +655,77 @@ def test_zeta1_past_a_million_ranks_fails_at_once_and_select_keeps_the_other_row
     rows = {r["model"]: r for r in table["rows"]}
     assert "at most 1000000 ranks, got R=1000000000" in rows["zeta1"]["error"]
     assert [rows[k]["error"] for k in ("zeta2", "geometric1", "geometric2")] == [None] * 3
+
+
+# ---- bad flags: the parser's errors take main's one error path
+
+WHOLE_FROM_1 = "must be a whole number from 1 to 9223372036854775807, got"
+FLAG_ERRORS = {
+    "bad-int": (["simulate", "--model", "geometric1", "--q", "0.4", "--sizes", "10", "--trials",
+                 "x"], "argument --trials: invalid int value: 'x'"),
+    "bad-float": (["simulate", "--model", "geometric1", "--q", "x", "--sizes", "10"],
+                  "argument --q: invalid float value: 'x'"),
+    "bad-N": (["fit", "--input", DEMO, "--model", "zeta1", "--N", "x"],
+              "argument --N: invalid int value: 'x'"),
+    "unknown-kind": (["fit", "--input", DEMO, "--model", "bogus"],
+                     "unknown model kind 'bogus'; valid kinds: zeta1, zeta2, geometric1, "
+                     "geometric2"),
+    "no-command": ([], "the following arguments are required: command"),
+    "unknown-command": (["bogus"], "argument command: invalid choice: 'bogus' (choose from "
+                        "'summarize', 'fit', 'select', 'diagnose', 'simulate', 'cross-apply')"),
+    "no-input": (["summarize"], "the following arguments are required: --input"),
+    "bad-format": (["summarize", "--input", DEMO, "--format", "xml"],
+                   "argument --format: invalid choice: 'xml' (choose from 'json', 'tsv')"),
+    "unknown-flag": (["summarize", "--input", DEMO, "--bogus", "1"],
+                     "unrecognized arguments: --bogus 1"),
+    "empty-delimiter": (["summarize", "--input", DEMO, "--delimiter", ""],
+                        "delimiter must not be empty"),
+    # the empty path reads as the working directory
+    "empty-input": (["summarize", "--input", ""], "'' names a directory, not a file"),
+    "select-N-0": (["select", "--input", DEMO, "--N", "0"], f"N {WHOLE_FROM_1} 0"),
+    "fit-N-negative": (["fit", "--input", DEMO, "--model", "zeta2", "--N", "-3"],
+                       f"N {WHOLE_FROM_1} -3"),
+    "diagnose-N-0": (["diagnose", "--input", DEMO, "--N", "0"], f"N {WHOLE_FROM_1} 0"),
+    # R defaults to --N, so the setting at fault is N
+    "simulate-N-0": (["simulate", "--model", "zeta1", "--alpha", "1", "--N", "0", "--sizes", "10"],
+                     f"bad simulation configuration: N {WHOLE_FROM_1} 0"),
+    "unknown-mode": (["simulate", "--mode", "other", "--model", "zeta1", "--alpha", "1"],
+                     "bad simulation configuration: unknown simulate mode 'other'"),
+    "select-kind-twice": (["select", "--input", DEMO, "--ensemble", "zeta2,zeta2,geometric2"],
+                          "ensemble must list one or more kinds, each once, got "
+                          "['zeta2', 'zeta2', 'geometric2']"),
+    "diagnose-kind-twice": (["diagnose", "--input", DEMO, "--ensemble",
+                             "geometric1,geometric1,zeta1"],
+                            "ensemble must list one or more kinds, each once, got "
+                            "['geometric1', 'geometric1', 'zeta1']"),
+}
+
+
+@pytest.mark.parametrize("argv, message", FLAG_ERRORS.values(), ids=FLAG_ERRORS)
+def test_a_bad_flag_is_one_error_line_and_exit_1(tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)  # the default output paths are relative
+    with pytest.raises(SystemExit) as exit_:
+        main([str(a) for a in argv])
+    assert exit_.value.code == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not list(tmp_path.iterdir())
+
+
+def test_a_bad_flag_prints_no_usage_block_from_the_console(tmp_path):
+    argv, message = FLAG_ERRORS["bad-int"]
+    assert one_line_error(run_cli(*argv, cwd=tmp_path)) == f"error: {message}"
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--version"], ["fit", "--help"],
+                                  ["simulate", "--help"]])
+def test_help_and_version_still_exit_0(capsys, argv):
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 0
+    out, err = capsys.readouterr()
+    assert out and not err
+    if argv[0] in ("fit", "simulate"):  # --model's help lists the kinds ModelKind has
+        assert f"model kind: {', '.join(k.value for k in ModelKind)}" in " ".join(out.split())
 
 
 def files_under(root: Path) -> set:
@@ -688,7 +763,7 @@ def test_every_readme_command_writes_one_manifest_of_its_run(tmp_path):
             # the settings the output records are the checked flags it ran with
             model = {"kind": args.model, "R": args.N, "N": args.N, "q": args.q}
             settings = ({"sample_sizes": [int(s) for s in args.sizes.split(",")],
-                         "ensemble": list(KIND_NAMES)} if args.mode == "recovery"
+                         "ensemble": [k.value for k in ModelKind]} if args.mode == "recovery"
                         else {"n": args.n})
             assert expected == {"mode": args.mode, "seed": args.seed, "trials": args.trials,
                                 "model": model, **settings, "out": args.out}, argv
@@ -789,3 +864,69 @@ def test_fuzzed_inputs_exit_0_or_name_what_is_wrong(run):
     assert code == 1 and len(lines) == 1 and lines[0].startswith("error: "), (text, lines)
     assert names(lines[0], key, path), (text, key, lines[0])
     assert not [t for t in PYTHON_TEXTS if t in lines[0]], (text, lines[0])
+
+
+# ---- fuzz: one flag's value mutated, a required flag dropped or an unknown one added
+
+FLAG_POOL = ["x", "", "0", "-5", "2.5", "nan", "1e300", "zeta1,zeta1"]
+PATHS = ("--out", "--out-dir", "--config", "--fit")  # left as they are
+REQUIRED = ("--input", "--model", "--q", "--alpha", "--sizes", "--n")  # a base fails without one
+FLAG_BASES = [  # one valid argv per subcommand, simulate in both modes; {tmp} is the run's dir
+    ["summarize", "--input", str(DEMO), "--delimiter", "\t", "--format", "tsv",
+     "--out", "{tmp}/s.json"],
+    ["fit", "--input", str(DEMO), "--model", "zeta2", "--N", "24", "--out", "{tmp}/f.json"],
+    ["select", "--input", str(DEMO), "--N", "24", "--ensemble", "zeta2,geometric2",
+     "--format", "json", "--out-dir", "{tmp}/sel"],
+    ["diagnose", "--input", str(DEMO), "--N", "24", "--ensemble", "zeta1,geometric1",
+     "--out-dir", "{tmp}/diag"],
+    ["simulate", "--mode", "recovery", "--model", "geometric1", "--q", "0.4", "--N", "24",
+     "--sizes", "20,40", "--trials", "1", "--seed", "7", "--ensemble", "geometric1,zeta2",
+     "--out", "{tmp}/r.json"],
+    ["simulate", "--mode", "undersampling", "--model", "zeta2", "--alpha", "1.2", "--R", "10",
+     "--N", "24", "--n", "20", "--trials", "1", "--seed", "7", "--out", "{tmp}/u.json"],
+    ["cross-apply", "--fit", "{tmp}/fit.json", "--input", str(DEMO), "--delimiter", "\t",
+     "--out", "{tmp}/x.json"],
+]
+
+
+@st.composite
+def flag_runs(draw):
+    """(argv, the flag the mutation touched, the value it gave, or None)."""
+    argv = list(draw(st.sampled_from(FLAG_BASES)))
+    flags = [i for i, a in enumerate(argv) if a.startswith("--") and a not in PATHS]
+    how = draw(st.sampled_from(["value", "drop", "add"]))
+    if how == "add":
+        return argv + ["--bogus", "1"], "--bogus", None
+    if how == "drop":
+        i = draw(st.sampled_from([i for i in flags if argv[i] in REQUIRED]))
+        return argv[:i] + argv[i + 2:], argv[i], None
+    i = draw(st.sampled_from(flags))
+    value = draw(st.sampled_from(FLAG_POOL))
+    return argv[:i + 1] + [value] + argv[i + 2:], argv[i], value
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(flag_runs())
+def test_fuzzed_flags_exit_0_or_name_what_is_wrong(run):
+    argv, flag, value = run
+    with tempfile.TemporaryDirectory() as tmp:
+        Path(tmp, "fit.json").write_text(json.dumps(FUZZ_FIT), encoding="utf-8")
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            try:
+                code = main([a.replace("{tmp}", tmp) for a in argv])
+            except SystemExit as exc:
+                code = exc.code
+    text = stderr.getvalue()
+    lines = text.splitlines()
+    if code == 0:
+        assert not [line for line in lines if line.startswith("error:")], (argv, lines)
+        return
+    assert code == 1 and len(lines) == 1 and lines[0].startswith("error: "), (argv, text)
+    assert "usage:" not in text and "Traceback" not in text, (argv, text)
+    # the flag by its name, the dataset line at fault, or the bad value (a path: the file)
+    assert (names(lines[0], flag.lstrip("-"), flag)
+            or re.search(r"\bline \d+\b", lines[0])
+            or value is not None and (repr(value) in lines[0]
+                                      or value and lines[0].endswith(f": {value}"))), \
+        (argv, lines[0])

@@ -305,3 +305,16 @@ def test_statistical_recovery_median_error():
                            model=geometric1(0.35, 24), ensemble=(ModelKind.GEOMETRIC1,))
     stats = recovery_experiment(cfg)
     assert stats.per_size[0].median_abs_param_error <= 0.02
+
+
+@pytest.mark.parametrize("N", [0, -3, 2.5, math.inf, math.nan, True, "24", None])
+def test_fit_checks_N_by_name(N):
+    h = RankHistogram.from_frequencies([9, 3, 1])
+    with pytest.raises(ValueError, match=r"^N must be a whole number from 1 to \d+, got "):
+        fit("geometric1", h, N=N)
+
+
+def test_fit_takes_a_whole_float_or_numpy_N_as_an_int():
+    h = RankHistogram.from_frequencies([9, 3, 1])
+    for N in (24.0, np.int64(24)):
+        assert fit("geometric1", h, N=N) == fit("geometric1", h, N=24)

@@ -73,6 +73,12 @@ def test_parse_custom_delimiter():
     assert h.frequencies == (7.0, 3.0)
 
 
+def test_parse_rejects_an_empty_delimiter_by_name():
+    # str.split("") would raise its own "empty separator", naming no setting
+    with pytest.raises(ValueError, match="^delimiter must not be empty$"):
+        parse_dataset("a\t7\n", delimiter="")
+
+
 def test_histogram_invariants_enforced():
     with pytest.raises(ValueError):
         RankHistogram(frequencies=(1.0, 2.0), names=("a", "b"))  # increasing

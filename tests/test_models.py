@@ -251,6 +251,13 @@ def test_model_params_from_dict_takes_whole_numbers_only():
             ModelParams.from_dict({**d, key: value})
 
 
+def test_model_params_from_dict_names_N_before_R():
+    # R defaults to N where the model comes from flags, so a bad N must be named as N
+    d = {"kind": "zeta1", "R": 0, "N": 0, "alpha": 1.0}
+    with pytest.raises(ValueError, match=r"^N must be a whole number from 1 to \d+, got 0$"):
+        ModelParams.from_dict(d)
+
+
 @pytest.mark.parametrize("kind, scalar", [("zeta1", {"alpha": True}), ("zeta2", {"alpha": False}),
                                           ("geometric1", {"q": True}),
                                           ("geometric2", {"q": False})])

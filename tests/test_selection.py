@@ -178,13 +178,23 @@ def test_select_prefers_geometric_on_geometric_data():
     assert max(geo_bic) < min(zet_bic)
 
 
-def test_select_duplicate_kinds_split_weight_equally():
+@pytest.mark.parametrize("ensemble", [("zeta2", "zeta2", "geometric2"),
+                                      (ModelKind.GEOMETRIC1, "geometric1"), ()],
+                         ids=["names", "kind-and-name", "empty"])
+def test_select_rejects_a_kind_listed_twice_or_no_kind(ensemble):
+    # a repeated kind would count twice in the weight normalization
+    h = RankHistogram.from_frequencies([30, 20, 14, 9, 7, 5, 4, 3, 2, 2, 1, 1])
+    listed = [ModelKind(k).value for k in ensemble]
+    with pytest.raises(ValueError) as exc:
+        select(h, ensemble=ensemble)
+    assert str(exc.value) == f"ensemble must list one or more kinds, each once, got {listed}"
+
+
+@pytest.mark.parametrize("N", [0, -3, 2.5, math.inf, math.nan, True, "24"])
+def test_select_checks_N_before_fitting_any_row(N):
     h = RankHistogram.from_frequencies([9, 3, 1])
-    table = select(h, ensemble=(ModelKind.GEOMETRIC1, ModelKind.GEOMETRIC1))
-    a, b = table.rows
-    assert a.loglik == b.loglik
-    assert a.w_aicc == pytest.approx(0.5, abs=1e-12)
-    assert b.w_bic == pytest.approx(0.5, abs=1e-12)
+    with pytest.raises(ValueError, match=r"^N must be a whole number from 1 to \d+, got "):
+        select(h, N=N)
 
 
 def test_select_annotates_unscorable_rows():
@@ -268,7 +278,7 @@ EDGE_CASES = {
     "r_max>N": lambda s, N: s.r_max > N,
 }
 SHARED_ORDER = (ModelKind.GEOMETRIC2, ModelKind.ZETA2, ModelKind.GEOMETRIC1,
-                ModelKind.ZETA1, ModelKind.GEOMETRIC2)  # 2-parameter kinds fit first, one twice
+                ModelKind.ZETA1)  # 2-parameter kinds fit first
 
 
 @pytest.mark.parametrize("case", EDGE_CASES)

@@ -273,11 +273,17 @@ def test_recovery_skips_select_when_the_true_kind_cannot_be_scored(monkeypatch):
     assert row.failures == 5
 
 
-def test_recovery_requires_true_kind_in_ensemble():
-    for ensemble in ((ModelKind.ZETA1,), ()):
-        with pytest.raises(ValueError, match="true model kind"):
-            SimulationConfig(seed=3, trials=1, sample_sizes=(50,),
-                             model=geometric1(0.4, 24), ensemble=ensemble)
+@pytest.mark.parametrize("ensemble, message", [
+    ((ModelKind.ZETA1,), "ensemble must contain the true model kind"),
+    ((), "ensemble must list one or more kinds, each once, got []"),
+    (("geometric1", "zeta1", "geometric1"),
+     "ensemble must list one or more kinds, each once, got ['geometric1', 'zeta1', 'geometric1']"),
+], ids=["true-kind-missing", "empty", "kind-twice"])
+def test_recovery_ensemble_lists_the_true_kind_and_each_kind_once(ensemble, message):
+    with pytest.raises(ValueError) as exc:
+        SimulationConfig(seed=3, trials=1, sample_sizes=(50,),
+                         model=geometric1(0.4, 24), ensemble=ensemble)
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("model, size, select_raises", [
