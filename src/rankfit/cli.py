@@ -4,9 +4,10 @@ Every command writes its primary outputs and returns what it read and wrote;
 ``main`` then writes the run manifest (command, input digests, parameters and
 produced files) and is the one place a failure, a bad flag included, becomes an
 ``error:`` line, printed alone with no usage block; notes on stderr wait for
-success. Each error names what is at fault; ``simulate`` and ``cross-apply`` only
-prefix it with ``bad simulation configuration:`` or ``unreadable fit file F:``.
-Outputs are fully determined by inputs and flags, so reruns are byte-identical.
+success. The library checks each value the CLI passes on. Each error names what
+is at fault; ``simulate`` and ``cross-apply`` only prefix it with
+``bad simulation configuration:`` or ``unreadable fit file F:``. Outputs are
+fully determined by inputs and flags, so reruns are byte-identical.
 
 A run loads only the modules its subcommand runs: ``_io``, ``histogram`` and
 ``models`` always, the rest inside each ``cmd_*``, so ``summarize`` imports
@@ -69,13 +70,6 @@ def _parse_input(args) -> RankHistogram:
     return hist
 
 
-def _ensemble(names) -> tuple:
-    """Model kinds from a comma-separated --ensemble value or a config list (any
-    other value is a list of one); only an absent value means all four kinds."""
-    names = [name.strip() for name in names.split(",")] if isinstance(names, str) else names
-    return _kinds(names if isinstance(names, list) or names is None else [names])
-
-
 def cmd_summarize(args):
     stats = summarize(_parse_input(args)).as_dict()
     out = Path(args.out)
@@ -87,7 +81,7 @@ def cmd_summarize(args):
 def cmd_fit(args):
     from .estimation import fit
     hist = _parse_input(args)
-    result = fit(ModelKind(args.model), hist, N=args.N)
+    result = fit(args.model, hist, N=args.N)
     out = Path(args.out)
     _write_json(result.as_dict(), out)
     p = result.params
@@ -102,7 +96,7 @@ def cmd_select(args):
     from .selection import (best_params_dict, best_params_tsv, select, selection_table_dict,
                             selection_table_tsv)
     hist = _parse_input(args)
-    table = select(hist, N=args.N, ensemble=_ensemble(args.ensemble))
+    table = select(hist, N=args.N, ensemble=args.ensemble)
     out_dir = Path(args.out_dir)
     outputs = {
         "selection.tsv": selection_table_tsv(table),
@@ -123,7 +117,7 @@ def cmd_diagnose(args):
     from .estimation import fit
     hist = _parse_input(args)
     s = summarize(hist)
-    fits = [fit(k, s, N=args.N) for k in _ensemble(args.ensemble)]
+    fits = [fit(k, s, N=args.N) for k in _kinds(args.ensemble)]
     report = diagnose(hist, fits)
     out_dir = Path(args.out_dir)
     files = emit_plot_data(hist, fits, out_dir)
@@ -132,10 +126,8 @@ def cmd_diagnose(args):
     return [args.input], files + [report_path]
 
 
-def _simulation_settings(args) -> tuple:
-    """The checked settings (mode, model, seed, trials, n, sample sizes, ensemble): the
-    flags, overridden by a --config object's keys, each checked if given, used or not."""
-    from .simulation import _sample_sizes
+def _simulation_settings(args) -> dict:
+    """The settings as given: the flags, overridden by a --config object's keys."""
     # --sizes: digits stay exact ints (float() rounds above 2**53); a non-number stays text
     flag_sizes = args.sizes and args.sizes.split(",")
     for i, text in enumerate(flag_sizes or ()):
@@ -156,35 +148,40 @@ def _simulation_settings(args) -> tuple:
         settings.update(json_object(read_json_object(args.config), (), settings, "config"))
     if settings["model"] is None:
         raise ValueError("simulate needs --model (or a model in the --config file)")
-    n, sizes = settings["n"], settings["sample_sizes"]
-    return (settings["mode"], ModelParams.from_dict(settings["model"]),
-            _whole(settings["seed"], "seed", 0, 2 ** 64),
-            _whole(settings["trials"], "trials", 1, 2 ** 63),
-            None if n is None else _whole(n, "n", 1, 2 ** 63),
-            None if sizes is None else _sample_sizes(sizes), _ensemble(settings["ensemble"]))
+    return settings
 
 
 def cmd_simulate(args):
-    from .simulation import SimulationConfig, recovery_experiment, undersampling_probability
-    # run: the checked settings of the mode, which the output and the manifest both record
+    from .simulation import (SimulationConfig, _sample_sizes, recovery_experiment,
+                             undersampling_probability)
+    # the library checks each setting the mode reads; here, only a given one it skips
     try:
-        mode, model, seed, trials, n, sizes, ensemble = _simulation_settings(args)
+        s = _simulation_settings(args)
+        mode, n, sizes = s["mode"], s["n"], s["sample_sizes"]
+        model = ModelParams.from_dict(s["model"])
         if mode == "undersampling":
             if n is None:
                 raise ValueError("undersampling mode needs --n (draws per trial)")
-            run = {"mode": mode, "model": model.as_dict(), "n": n, "trials": trials, "seed": seed}
+            if sizes is not None:
+                _sample_sizes(sizes)
+            if s["ensemble"] is not None:
+                _kinds(s["ensemble"])
+            results = undersampling_probability(model, n, s["trials"], s["seed"])._asdict()
+            run = {"mode": mode, "model": model.as_dict(),
+                   **{key: int(s[key]) for key in ("n", "trials", "seed")}}
         elif mode == "recovery":
             if sizes is None:
                 raise ValueError("recovery mode needs --sizes (comma-separated sample sizes)")
-            cfg = SimulationConfig(seed=seed, trials=trials, sample_sizes=sizes, model=model,
-                                   ensemble=ensemble)
+            if n is not None:
+                _whole(n, "n", 1, 2 ** 63)
+            cfg = SimulationConfig(seed=s["seed"], trials=s["trials"], sample_sizes=sizes,
+                                   model=model, ensemble=s["ensemble"])
+            results = recovery_experiment(cfg).as_dict()
             run = {"mode": mode, **cfg.as_dict()}
         else:
             raise ValueError(f"unknown simulate mode {mode!r}")
     except ValueError as exc:
         raise ValueError(f"bad simulation configuration: {exc}") from None
-    results = (recovery_experiment(cfg).as_dict() if mode == "recovery"
-               else undersampling_probability(model, n, trials, seed)._asdict())
     out = Path(args.out)
     sys.stdout.write(_write_json({**run, **results}, out))
     return [args.config] if args.config else [], [out], {**run, "out": args.out}

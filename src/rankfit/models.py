@@ -152,9 +152,14 @@ def _whole(value, name: str, lo: int, hi: int) -> int:
 
 
 def _kinds(ensemble=None) -> tuple[ModelKind, ...]:
-    """ensemble's kinds or names (None: all four) as ModelKinds, at least one, each once."""
+    """ensemble's kinds or names as ModelKinds, at least one, each once: a str is names
+    split at commas, None all four, a list or tuple read as is, any other value one kind."""
+    if isinstance(ensemble, str):
+        ensemble = [name.strip() for name in ensemble.split(",")]
+    elif not isinstance(ensemble, (list, tuple)):
+        ensemble = ModelKind if ensemble is None else [ensemble]
     try:
-        kinds = tuple(map(ModelKind, ModelKind if ensemble is None else ensemble))
+        kinds = tuple(map(ModelKind, ensemble))
     except ValueError as exc:
         raise ValueError(f"ensemble: {exc}") from None
     if not kinds or len(set(kinds)) < len(kinds):

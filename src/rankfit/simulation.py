@@ -10,10 +10,11 @@ sample size in recovery_experiment. The seeds are hashed in blocks of trials
 with SeedSequence's result, so results do not depend on execution order and
 identical configurations reproduce outputs bit for bit.
 
-undersampling_probability and recovery_experiment share one trial loop,
-_trial_counts. Recovery selects on the SummaryStats of each trial's
-attested counts, those of summarize(sample(...)), and builds no histogram;
-a trial whose true kind cannot be scored fails without a selection.
+SimulationConfig and undersampling_probability check each setting they read.
+Both trial loops call sample_counts through the module, so bench/tracing.py
+can wrap it. Recovery selects on the SummaryStats of each trial's attested
+counts, those of summarize(sample(...)), and builds no histogram; a trial
+whose true kind cannot be scored fails without a selection.
 
 numpy loads only when a simulation runs (sample_counts, sample,
 undersampling_probability, recovery_experiment), not on import.
@@ -168,13 +169,6 @@ def sample(m: ModelParams, n: int, seed: int) -> RankHistogram:
     )
 
 
-def _trial_counts(m: ModelParams, n: int, trials: int, seeds):
-    """Yield the per-rank counts of trials runs of n draws from m, each run
-    drawing from the next seed of the iterator seeds."""
-    for child in itertools.islice(seeds, trials):
-        yield sample_counts(m, n, child)
-
-
 def undersampling_probability(m: ModelParams, n: int, trials: int,
                               seed: int) -> UndersamplingEstimate:
     """Monte Carlo probability that n draws attest fewer than N ranks.
@@ -185,9 +179,9 @@ def undersampling_probability(m: ModelParams, n: int, trials: int,
     """
     import numpy as np
     trials, seed = _whole(trials, "trials", 1, 2 ** 63), _whole(seed, "seed", 0, 2 ** 64)
-    under = 0
-    for counts in _trial_counts(m, n, trials, _trial_seeds(seed, trials)):
-        under += int(np.count_nonzero(counts)) < m.N
+    n, under = _whole(n, "n", 1, 2 ** 63), 0
+    for child in _trial_seeds(seed, trials):
+        under += int(np.count_nonzero(sample_counts(m, n, child))) < m.N
     p = under / trials
     half_width = 1.96 * math.sqrt(p * (1.0 - p) / trials) + 0.5 / trials
     return UndersamplingEstimate(estimate=p, half_width=half_width)
@@ -235,7 +229,8 @@ def recovery_experiment(cfg: SimulationConfig) -> RecoveryStats:
     for n in cfg.sample_sizes:
         errors = []
         aicc_hits = bic_hits = undersampled = failures = 0
-        for counts in _trial_counts(cfg.model, n, cfg.trials, seeds):
+        for child in itertools.islice(seeds, cfg.trials):
+            counts = sample_counts(cfg.model, n, child)
             stats = _summary(sorted((float(c) for c in counts.tolist() if c), reverse=True))
             try:
                 _check_domain(true_kind.n_params, stats.F0)

@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import copy
 import hashlib
@@ -17,7 +18,9 @@ from hypothesis import strategies as st
 
 import rankfit.cli
 import rankfit.estimation
+import rankfit.models
 import rankfit.selection
+import rankfit.simulation
 from conftest import cli_env, readme_cli_commands
 from rankfit._io import json_text
 from rankfit.cli import _write_json, build_parser, main
@@ -374,14 +377,6 @@ def test_simulate_default_seed_documented_constant(tmp_path):
     assert json.loads(out.read_text())["seed"] == 12345
 
 
-def test_simulate_rejects_zero_trials(tmp_path):
-    proc = run_cli("simulate", "--mode", "recovery", "--model", "geometric1",
-                   "--q", "0.4", "--sizes", "50", "--trials", 0,
-                   "--out", tmp_path / "x.json", cwd=tmp_path)
-    assert proc.returncode != 0
-    assert "trials" in proc.stderr
-
-
 @pytest.mark.parametrize("trials, seed, named", [
     (2.5, 7, "trials must"),
     (3, 7.9, "seed must"),
@@ -624,6 +619,12 @@ SETTINGS_ERRORS = [
     (("--n", "-5"), {}, "n must be a whole number from 1 to 9223372036854775807, got -5"),
     (("--sizes", "10,"), {}, "sample sizes must be a whole number from 1 to 9223372036854775807, "
                              "got ''"),
+    (("--trials", "0"), {}, "trials must be a whole number from 1 to 9223372036854775807, got 0"),
+    # the rank limit is checked once the run starts, and carries the prefix too
+    (("--N", "1000000000"), {},
+     "simulation draws over at most 1000000 ranks, got R=1000000000"),
+    (("--mode", "undersampling", "--n", "10", "--N", "1000000000"), {},
+     "simulation draws over at most 1000000 ranks, got R=1000000000"),
 ]
 
 
@@ -632,7 +633,8 @@ SETTINGS_ERRORS = [
     "ensemble-repeated",
     "unknown-key", "old-sizes-key", "unknown-model-key", "missing-model-key",
     "model-not-an-object", "unknown-model-kind", "string-alpha", "sizes-not-a-list",
-    "recovery-n-negative", "sizes-trailing-comma"])
+    "recovery-n-negative", "sizes-trailing-comma", "trials-zero", "recovery-too-many-ranks",
+    "undersampling-too-many-ranks"])
 def test_simulate_settings_errors_all_carry_one_prefix(tmp_path, flags, config, message):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(config), encoding="utf-8")
@@ -640,6 +642,44 @@ def test_simulate_settings_errors_all_carry_one_prefix(tmp_path, flags, config, 
                    "--config", cfg_path, "--out", tmp_path / "s.json", cwd=tmp_path)
     assert one_line_error(proc) == f"error: bad simulation configuration: {message}"
     assert not (tmp_path / "s.json").exists()
+
+
+class _FirstDraw(Exception):
+    pass
+
+
+@pytest.mark.parametrize("mode", ["recovery", "undersampling"])
+def test_simulate_converts_each_setting_once(tmp_path, monkeypatch, mode):
+    # every conversion up to the first draw, which ends the run: _whole by the
+    # setting it names (the model's N and R included), _sample_sizes and _kinds
+    calls = collections.Counter()
+
+    def count(module, function, key):
+        real = getattr(module, function)
+
+        def counted(*args):
+            calls[key(*args)] += 1
+            return real(*args)
+        monkeypatch.setattr(module, function, counted)
+
+    modules = (rankfit.cli, rankfit.models, rankfit.selection, rankfit.estimation,
+               rankfit.simulation)
+    for module in modules:
+        count(module, "_whole", lambda value, name, lo, hi: name)
+        if hasattr(module, "_kinds"):
+            count(module, "_kinds", lambda ensemble=None: "ensemble")
+    count(rankfit.simulation, "_sample_sizes", lambda sizes: "_sample_sizes")
+
+    def first_draw(m, n, seed):
+        raise _FirstDraw
+    monkeypatch.setattr(rankfit.simulation, "sample_counts", first_draw)
+    with pytest.raises(_FirstDraw):
+        main(["simulate", "--mode", mode, "--model", "geometric1", "--q", "0.4", "--sizes",
+              "20,40", "--trials", "3", "--ensemble", "geometric1,zeta2", "--n", "30",
+              "--out", str(tmp_path / "s.json")])
+    # one _whole call per sample size, inside the one _sample_sizes call
+    assert calls == {"N": 1, "R": 1, "seed": 1, "trials": 1, "n": 1, "_sample_sizes": 1,
+                     "sample sizes": 2, "ensemble": 1}
 
 
 def test_zeta1_past_a_million_ranks_fails_at_once_and_select_keeps_the_other_rows(tmp_path):

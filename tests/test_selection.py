@@ -217,6 +217,21 @@ def test_select_restricted_ensemble():
         table.row("geometric1")
 
 
+@pytest.mark.parametrize("names, kinds", [
+    ("zeta1", (ModelKind.ZETA1,)),
+    ("geometric1, zeta2", (ModelKind.GEOMETRIC1, ModelKind.ZETA2)),
+], ids=["one-name", "two-names"])
+def test_select_reads_a_string_ensemble_as_comma_separated_names(names, kinds):
+    h = RankHistogram.from_frequencies([10, 6, 3, 1])
+    assert select(h, ensemble=names) == select(h, ensemble=kinds)
+
+
+def test_select_reads_another_ensemble_value_as_one_kind():
+    h = RankHistogram.from_frequencies([10, 6, 3, 1])
+    with pytest.raises(ValueError, match=r"^ensemble: unknown model kind 5; valid kinds: "):
+        select(h, ensemble=5)
+
+
 def test_select_tie_breaks_toward_fewer_parameters():
     # a full-support histogram makes the 2-parameter fits equal the
     # 1-parameter ones (R = r_max = N), so BIC ties break to K=1

@@ -286,6 +286,24 @@ def test_recovery_ensemble_lists_the_true_kind_and_each_kind_once(ensemble, mess
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("model, names, kinds", [
+    (zeta1(1.0), "zeta1", (ModelKind.ZETA1,)),
+    (geometric1(0.4), "geometric1, zeta2", (ModelKind.GEOMETRIC1, ModelKind.ZETA2)),
+], ids=["one-name", "two-names"])
+def test_recovery_reads_a_string_ensemble_as_comma_separated_names(model, names, kinds):
+    def config(ensemble):
+        return SimulationConfig(seed=3, trials=1, sample_sizes=(50,), model=model,
+                                ensemble=ensemble)
+    assert config(names) == config(kinds)
+    assert config(names).ensemble == kinds
+
+
+def test_recovery_reads_another_ensemble_value_as_one_kind():
+    with pytest.raises(ValueError, match=r"^ensemble: unknown model kind 5; valid kinds: "):
+        SimulationConfig(seed=3, trials=1, sample_sizes=(50,), model=geometric1(0.4),
+                         ensemble=5)
+
+
 @pytest.mark.parametrize("model, size, select_raises", [
     (geometric1(0.4), 1, True),  # BIC needs F0 > 1, so no row can be scored
     (zeta2(1.0, 10), 3, False),  # AICc needs F0 > K + 1: the true kind's row has no fit
