@@ -4,11 +4,12 @@ Each trial is one multinomial draw of its per-rank counts over the R-point
 pmf (R <= 10**6), so a trial costs O(R) time and memory whatever its
 number of draws. The probability vector is built once per model and kept
 on it, so every trial of one call draws from the same vector. Trial t draws
-from default_rng(SeedSequence((seed, *key, t)).generate_state(1, uint64)[0])
-(numpy's PCG64), key () in undersampling_probability and (i,) for the i-th
-sample size in recovery_experiment. The seeds are hashed in blocks of trials
-with SeedSequence's result, so results do not depend on execution order and
-identical configurations reproduce outputs bit for bit.
+from default_rng(SeedSequence(seed, spawn_key=(*key, t))) (numpy's PCG64),
+key () in undersampling_probability and (i,) for the i-th sample size in
+recovery_experiment. That is the stream of SeedSequence(seed).spawn(...),
+numpy's own substreams, so numpy alone reproduces any one trial, results do
+not depend on execution order, and identical configurations reproduce
+outputs bit for bit.
 
 SimulationConfig and undersampling_probability check each setting they read.
 Both trial loops call sample_counts through the module, so bench/tracing.py
@@ -22,7 +23,6 @@ undersampling_probability, recovery_experiment), not on import.
 
 from __future__ import annotations
 
-import itertools
 import math
 import statistics
 from dataclasses import asdict, dataclass
@@ -85,65 +85,14 @@ class UndersamplingEstimate(NamedTuple):
     half_width: float
 
 
-_BLOCK = 1 << 12  # seeds hashed at once; a power of two, so no block straddles t = 2**32
-
-
-def _hasher(const: int, mult: int):
-    """O'Neill's hashmix on uint32 arrays; its multiplier steps on each call."""
-    def hashmix(v):
-        nonlocal const
-        v, const = v ^ const, const * mult & 0xFFFFFFFF
-        v = v * const
-        return v ^ v >> 16
-    return hashmix
-
-
-def _stream_seeds(*entropy) -> list[int]:
-    """int(SeedSequence(row).generate_state(1, np.uint64)[0]) for each row
-    of the broadcast arrays entropy, in C order: numpy's hash (O'Neill's
-    seed_seq) on uint32 arrays. A value is one word, two from 2**32 on, so
-    all values of one array must lie on the same side of 2**32."""
-    import numpy as np
-    words = []
-    for col in np.broadcast_arrays(*(np.asarray(c, np.uint64) for c in entropy)):
-        high = col >> 32
-        words += [col.astype(np.uint32)] + ([high.astype(np.uint32)] if high.any() else [])
-    hashmix = _hasher(0x43B0D7E5, 0x931E8875)
-    pool = [hashmix(w) for w in (words + [np.zeros_like(words[0])] * 4)[:4]]
-
-    def mix(dst, w):
-        r = pool[dst] * 0xCA01F9DD - hashmix(w) * 0x4973F715
-        pool[dst] = r ^ r >> 16
-
-    for src, dst in itertools.permutations(range(4), 2):
-        mix(dst, pool[src])
-    for w, dst in itertools.product(words[4:], range(4)):
-        mix(dst, w)
-    state = _hasher(0x8B51F9DD, 0x58F38DED)
-    lo, hi = (state(w).astype(np.uint64) for w in pool[:2])
-    return (lo | hi << 32).ravel().tolist()
-
-
-def _trial_seeds(seed: int, trials: int, keys: int = 0):
-    """Yield the seed of each trial's substream: that of (seed, t) for
-    t < trials or, given keys, of (seed, i, t) for i < keys and t < trials,
-    i-major. Keys share a block when there are fewer trials than _BLOCK."""
-    import numpy as np
-    per = max(1, _BLOCK // trials)
-    for i0 in range(0, max(keys, 1), per):
-        i = np.arange(i0, min(i0 + per, max(keys, 1)), dtype=np.uint64)[:, None]
-        for t0 in range(0, trials, _BLOCK):
-            t = np.arange(t0, min(t0 + _BLOCK, trials), dtype=np.uint64)
-            yield from _stream_seeds(seed, *((i,) if keys else ()), t)
-
-
-def sample_counts(m: ModelParams, n: int, seed: int):
+def sample_counts(m: ModelParams, n: int, seed):
     """Draw n ranks from the model pmf; returns numpy counts per category 1..R.
 
     One multinomial draw over the R-point pmf, which the model builds in
     O(R) once and keeps; R may not exceed _MAX_RANKS (one draw there peaks
-    near 23 MB). Time and memory do not depend on n. Deterministic for a
-    fixed seed.
+    near 23 MB). Time and memory do not depend on n. seed is anything
+    numpy's default_rng accepts (an int or a SeedSequence, say) and is
+    passed to it unchanged, so a fixed seed gives fixed counts.
     """
     n = _whole(n, "n", 1, 2 ** 63)
     if m.R > _MAX_RANKS:
@@ -180,8 +129,9 @@ def undersampling_probability(m: ModelParams, n: int, trials: int,
     import numpy as np
     trials, seed = _whole(trials, "trials", 1, 2 ** 63), _whole(seed, "seed", 0, 2 ** 64)
     n, under = _whole(n, "n", 1, 2 ** 63), 0
-    for child in _trial_seeds(seed, trials):
-        under += int(np.count_nonzero(sample_counts(m, n, child))) < m.N
+    for t in range(trials):
+        counts = sample_counts(m, n, np.random.SeedSequence(seed, spawn_key=(t,)))
+        under += int(np.count_nonzero(counts)) < m.N
     p = under / trials
     half_width = 1.96 * math.sqrt(p * (1.0 - p) / trials) + 0.5 / trials
     return UndersamplingEstimate(estimate=p, half_width=half_width)
@@ -221,16 +171,16 @@ def recovery_experiment(cfg: SimulationConfig) -> RecoveryStats:
     Trials whose true kind the criteria cannot score (AICc needs F0 > K + 1)
     count as failures without a selection and drop out of the aggregates.
     """
+    import numpy as np
     true_kind = cfg.model.kind
     truth = cfg.model.scalar
 
-    seeds = _trial_seeds(cfg.seed, cfg.trials, len(cfg.sample_sizes))
     per_size = []
-    for n in cfg.sample_sizes:
+    for i, n in enumerate(cfg.sample_sizes):
         errors = []
         aicc_hits = bic_hits = undersampled = failures = 0
-        for child in itertools.islice(seeds, cfg.trials):
-            counts = sample_counts(cfg.model, n, child)
+        for t in range(cfg.trials):
+            counts = sample_counts(cfg.model, n, np.random.SeedSequence(cfg.seed, spawn_key=(i, t)))
             stats = _summary(sorted((float(c) for c in counts.tolist() if c), reverse=True))
             try:
                 _check_domain(true_kind.n_params, stats.F0)
