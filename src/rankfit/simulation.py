@@ -101,12 +101,13 @@ def sample_counts(m: ModelParams, n: int, seed):
     return np.random.default_rng(seed).multinomial(n, m._probabilities)
 
 
-def sample(m: ModelParams, n: int, seed: int) -> RankHistogram:
+def sample(m: ModelParams, n: int, seed) -> RankHistogram:
     """Sample n draws and aggregate them into a rank histogram.
 
     Categories are re-ranked by descending observed count (count ties break
     by category index), mirroring how rank-frequency data are built from
-    raw category counts; unattested categories are omitted.
+    raw category counts; unattested categories are omitted. seed is as in
+    sample_counts.
     """
     counts = sample_counts(m, n, seed)
     order = sorted(range(m.R), key=lambda i: (-counts[i], i))

@@ -369,10 +369,10 @@ def _recorded_counts(monkeypatch):
     return drawn
 
 
-def _reference_counts(m, n, seed_entropy):
-    # one default_rng per trial, on numpy's SeedSequence substream of that trial
+def _reference_counts(m, n, trial_ids):
+    # one default_rng per (seed, *key, t), on numpy's SeedSequence substream of that trial
     return [np.random.default_rng(_trial_seed(*e)).multinomial(n, m._probabilities)
-            for e in seed_entropy]
+            for e in trial_ids]
 
 
 def test_undersampling_trial_t_draws_from_spawn_key_t(monkeypatch):
