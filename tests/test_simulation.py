@@ -427,3 +427,73 @@ def test_sample_counts_passes_a_seed_sequence_to_default_rng_unchanged():
     m, ss = geometric2(0.2, 3, 50), np.random.SeedSequence(5, spawn_key=(2, 7))
     expected = np.random.default_rng(ss).multinomial(1000, m._probabilities)
     assert (sample_counts(m, 1000, ss) == expected).all()
+
+
+# seeds where numpy's SeedSequence entropy gains a 32-bit word, and both ends of the range
+_EDGE_SEEDS = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1]
+
+
+def _run_trials(seed, trials, sizes, monkeypatch):
+    """The seeds and counts one loop hands sample_counts: undersampling_probability at
+    n=30 when sizes is None, else recovery_experiment with every selection skipped."""
+    m, handed, drawn = geometric1(0.4, 24), [], []
+
+    def record(m, n, s):
+        handed.append(s)
+        drawn.append(sample_counts(m, n, s))
+        return drawn[-1]
+
+    def skip_selection(*args, **kwargs):
+        raise ValueError("selection skipped")
+
+    monkeypatch.setattr(rankfit.simulation, "sample_counts", record)
+    monkeypatch.setattr(rankfit.simulation, "select", skip_selection)
+    if sizes is None:
+        undersampling_probability(m, 30, trials, seed)
+    else:
+        recovery_experiment(SimulationConfig(seed=seed, trials=trials, sample_sizes=sizes, model=m))
+    return m, handed, drawn
+
+
+@pytest.mark.parametrize("seed", _EDGE_SEEDS)
+@pytest.mark.parametrize("trials, sizes", [
+    (1, None), (4, None), (1, (5,)), (4, (5,)), (2, (5, 9, 20)), (3, (9, 5))])
+def test_each_trial_hands_numpy_the_seed_and_its_own_spawn_key(seed, trials, sizes, monkeypatch):
+    _, handed, _ = _run_trials(seed, trials, sizes, monkeypatch)
+    keys = [()] if sizes is None else [(i,) for i in range(len(sizes))]
+    assert all(type(s) is np.random.SeedSequence for s in handed)
+    # the seed reaches numpy whole, and no trial's stream hangs on a shared parent's spawn count
+    assert [(s.entropy, s.spawn_key, s.n_children_spawned) for s in handed] == [
+        (seed, (*key, t), 0) for key in keys for t in range(trials)]
+
+
+@pytest.mark.parametrize("seed", _EDGE_SEEDS)
+@pytest.mark.parametrize("i, t", [(0, 0), (0, 3), (1, 2), (2, 0), (2, 3)])
+def test_recovery_trial_t_of_size_i_reproduces_alone_from_numpy(seed, i, t, monkeypatch):
+    sizes = (5, 9, 20)
+    m, _, drawn = _run_trials(seed, 4, sizes, monkeypatch)
+    # spawn only as far as (i, t): no other trial is drawn or counted
+    alone = np.random.SeedSequence(seed).spawn(i + 1)[i].spawn(t + 1)[t]
+    expected = np.random.default_rng(alone).multinomial(sizes[i], m._probabilities)
+    assert (drawn[i * 4 + t] == expected).all()
+
+
+@pytest.mark.parametrize("seed", _EDGE_SEEDS)
+@pytest.mark.parametrize("t", [0, 2, 5])
+def test_undersampling_trial_t_reproduces_alone_from_numpy(seed, t, monkeypatch):
+    m, _, drawn = _run_trials(seed, 6, None, monkeypatch)
+    alone = np.random.SeedSequence(seed).spawn(t + 1)[t]
+    assert (drawn[t] == np.random.default_rng(alone).multinomial(30, m._probabilities)).all()
+
+
+@pytest.mark.parametrize("seed", _EDGE_SEEDS)
+@pytest.mark.parametrize("short, long", [((3, None), (7, None)), ((3, (5, 9)), (6, (5, 9, 20)))])
+def test_a_trials_draw_does_not_depend_on_the_trial_count_or_later_sizes(seed, short, long,
+                                                                          monkeypatch):
+    _, _, few = _run_trials(seed, *short, monkeypatch)
+    _, _, many = _run_trials(seed, *long, monkeypatch)
+    (t_few, sizes), t_many = short, long[0]
+    for i in range(1 if sizes is None else len(sizes)):
+        prefix = many[i * t_many:i * t_many + t_few]
+        assert all((a == b).all() for a, b in zip(few[i * t_few:(i + 1) * t_few], prefix,
+                                                  strict=True))
