@@ -1,7 +1,7 @@
 """Scale diagnostics: plot-ready series and straight-line slope checks.
 
-A geometric pmf is a straight line with slope log(1-q) in linear-log
-scale; a zeta pmf is a straight line with slope -alpha in log-log scale.
+A family's pmf is a straight line with slope -theta (models._Family.theta)
+in its own scale: linear-log for the geometric, log-log for zeta.
 The diagnostic regressions compare how straight the observed data look in
 each scale and report the model-predicted slopes next to the fitted ones.
 """
@@ -127,11 +127,10 @@ def slope_fit(series: PlotSeries) -> SlopeFit:
     return SlopeFit(slope=slope, intercept=intercept, r2=1.0 - ssres / sstot)
 
 
-def _pick(fits, want_geometric: bool) -> FitResult:
-    group = [f for f in fits if f.params.kind.is_geometric == want_geometric]
+def _pick(fits, family_name: str) -> FitResult:
+    group = [f for f in fits if f.params.kind.family.name == family_name]
     if not group:
-        family = "geometric" if want_geometric else "zeta"
-        raise ValueError(f"diagnose needs at least one {family} fit")
+        raise ValueError(f"diagnose needs at least one {family_name} fit")
     # best log-likelihood wins; ties go to the simpler model
     return max(group, key=lambda f: (f.loglik, -f.n_params))
 
@@ -141,11 +140,12 @@ def diagnose(hist: RankHistogram, fits) -> DiagnosticReport:
 
     The verdict is exponential-like iff the linear-log r2 beats the
     log-log r2 by more than R2_MARGIN, power-law-like in the mirrored
-    case, inconclusive otherwise. Slope predictions come from the best
-    geometric fit (log(1-q)) and the best zeta fit (-alpha) supplied.
+    case, inconclusive otherwise. Slope predictions are -theta of the best
+    geometric fit and of the best zeta fit supplied.
     """
-    geo = _pick(fits, want_geometric=True)
-    zet = _pick(fits, want_geometric=False)
+    if hist.r_max < 2:
+        raise ValueError(f"diagnose needs at least 2 attested ranks, got r_max={hist.r_max}")
+    geo, zet = (_pick(fits, name).params for name in ("geometric", "zeta"))
     linlog = slope_fit(transform_series(hist, Scale.LINEAR_LOG))
     loglog = slope_fit(transform_series(hist, Scale.LOG_LOG))
     gap = linlog.r2 - loglog.r2  # exactly -(loglog.r2 - linlog.r2)
@@ -156,8 +156,8 @@ def diagnose(hist: RankHistogram, fits) -> DiagnosticReport:
         linlog_r2=linlog.r2,
         loglog_slope=loglog.slope,
         loglog_r2=loglog.r2,
-        geometric_slope_prediction=math.log1p(-geo.params.q),
-        zeta_slope_prediction=-zet.params.alpha,
+        geometric_slope_prediction=-geo.kind.family.theta(geo.scalar),
+        zeta_slope_prediction=-zet.kind.family.theta(zet.scalar),
         verdict=verdict,
     )
 

@@ -14,7 +14,7 @@ about 54 + log2(R - 1): all scan points but alpha = 0) cost O(1), not O(R).
 
 Two rules cover the edge cases. At R = 1 the likelihood is flat, and the
 fit is unconverged at the interval midpoint. Otherwise the log-likelihood
-is concave in the natural parameter (alpha, or -log(1-q)), so unimodal in
+is concave in the natural parameter (models._Family.theta), so unimodal in
 the scalar, and an interval end that scores at least as well as the refined
 point is the maximum; it is returned exactly, with a "boundary:" warning.
 """

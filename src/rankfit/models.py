@@ -197,7 +197,7 @@ def harmonic(alpha: float, R: int) -> float:
     if R > _MAX_RANKS:
         raise ValueError(f"the zeta normalizer sums at most {_MAX_RANKS} ranks, got R={R}")
     if not (math.isfinite(alpha) and alpha >= 0):
-        raise ValueError("alpha must be a finite real >= 0")
+        raise ValueError(_ZETA.domain)
     if (R - 1) * 2.0 ** -alpha <= 2.0 ** -54:
         return 1.0
     return math.fsum(map(pow, range(R, 0, -1), repeat(-alpha)))
@@ -210,7 +210,7 @@ def geom_norm(q: float, R: int) -> float:
     to the untruncated limit q instead of losing precision.
     """
     if not 0.0 < q < 1.0:
-        raise ValueError("q must lie in (0, 1)")
+        raise ValueError(_GEOMETRIC.domain)
     if R < 1:
         raise ValueError("R must be >= 1")
     if R == 1:
@@ -219,13 +219,15 @@ def geom_norm(q: float, R: int) -> float:
 
 
 class _Family(NamedTuple):
-    """One family: its name, its scalar's name, domain test (stated by domain)
-    and search interval, the normalizer norm(scalar, R), the pmf p(scalar, norm, r)
-    at an int rank or a numpy float array of ranks, and the closed-form
-    log-likelihood objective(stats, R)(scalar) on 1..R for r_max <= R."""
+    """One family, p(r) proportional to exp(-theta t(r)), t(r) = log r (zeta) or r
+    (geometric): its name, its scalar's name, the natural parameter theta(scalar),
+    domain test (stated by domain) and search interval, the normalizer norm(scalar, R),
+    the pmf p(scalar, norm, r) at an int rank or a numpy float array of ranks, and
+    the closed-form log-likelihood objective(stats, R)(scalar) on 1..R for r_max <= R."""
 
     name: str
     scalar_name: str
+    theta: Callable[[float], float]
     in_domain: Callable[[float], bool]
     domain: str
     interval: tuple[float, float]
@@ -249,16 +251,16 @@ def _geometric_objective(s: SummaryStats, R: int) -> Callable[[float], float]:
 # norm reaches harmonic and geom_norm through the module globals at call
 # time, so a replaced module attribute is the one every caller uses
 _ZETA = _Family(
-    name="zeta", scalar_name="alpha", in_domain=lambda alpha: 0.0 <= alpha < math.inf,
-    domain="alpha must be a finite real >= 0", interval=ALPHA_INTERVAL,
-    norm=lambda alpha, R: harmonic(alpha, R),
+    name="zeta", scalar_name="alpha", theta=lambda alpha: alpha,
+    in_domain=lambda alpha: 0.0 <= alpha < math.inf, domain="alpha must be a finite real >= 0",
+    interval=ALPHA_INTERVAL, norm=lambda alpha, R: harmonic(alpha, R),
     p=lambda alpha, H, r: r ** -alpha / H,
     objective=_zeta_objective,
 )
 _GEOMETRIC = _Family(
-    name="geometric", scalar_name="q", in_domain=lambda q: 0.0 < q < 1.0,
-    domain="q must lie in the open interval (0, 1)", interval=Q_INTERVAL,
-    norm=lambda q, R: geom_norm(q, R),
+    name="geometric", scalar_name="q", theta=lambda q: -math.log1p(-q),
+    in_domain=lambda q: 0.0 < q < 1.0, domain="q must lie in the open interval (0, 1)",
+    interval=Q_INTERVAL, norm=lambda q, R: geom_norm(q, R),
     p=lambda q, c, r: c * (1.0 - q) ** (r - 1),
     objective=_geometric_objective,
 )
@@ -308,11 +310,11 @@ class ExponentialForm:
 def to_exponential_form(q: float, c: float) -> ExponentialForm:
     """Rewrite c * (1-q)**(r-1) as c' * exp(-beta * r).
 
-    c' = c / (1-q) and beta = -log(1-q); the two forms agree for every
-    integer r.
+    c' = c / (1-q) and beta is the geometric family's theta; the two forms
+    agree for every integer r.
     """
-    if not 0.0 < q < 1.0:
-        raise ValueError("q must lie in (0, 1)")
+    if not _GEOMETRIC.in_domain(q):
+        raise ValueError(_GEOMETRIC.domain)
     if not c > 0:
         raise ValueError("c must be positive")
-    return ExponentialForm(c_prime=c / (1.0 - q), beta=-math.log1p(-q))
+    return ExponentialForm(c_prime=c / (1.0 - q), beta=_GEOMETRIC.theta(q))

@@ -205,7 +205,8 @@ def select(hist: RankHistogram | SummaryStats, N: int = DEFAULT_DOMAIN_CEILING,
 
     scored = [r for r in rows if r.error is None]
     if not scored:
-        raise ValueError("no ensemble member could be fitted and scored")
+        reasons = "; ".join(dict.fromkeys(r.error for r in rows))  # distinct, in ensemble order
+        raise ValueError(f"no ensemble member could be fitted and scored: {reasons}")
     min_a, w_a = min(r.aicc for r in scored), iter(weights([r.aicc for r in scored]))
     min_b, w_b = min(r.bic for r in scored), iter(weights([r.bic for r in scored]))
     rows = [replace(r, delta_aicc=r.aicc - min_a, w_aicc=next(w_a),

@@ -751,6 +751,17 @@ def test_a_bad_flag_is_one_error_line_and_exit_1(tmp_path, monkeypatch, capsys, 
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("command, r_max, N, cause", [
+    ("select", 4, 3, "no ensemble member could be fitted and scored: dataset attests r_max=4"),
+    ("diagnose", 1, 24, "diagnose needs at least 2 attested ranks, got r_max=1"),
+])
+def test_select_and_diagnose_name_why_they_fail(tmp_path, command, r_max, N, cause):
+    data = tmp_path / "d.tsv"
+    write_dataset(data, r_max)
+    proc = run_cli(command, "--input", data, "--N", N, "--out-dir", tmp_path / "o", cwd=tmp_path)
+    assert one_line_error(proc).startswith(f"error: {cause}")
+
+
 def test_a_bad_flag_prints_no_usage_block_from_the_console(tmp_path):
     argv, message = FLAG_ERRORS["bad-int"]
     assert one_line_error(run_cli(*argv, cwd=tmp_path)) == f"error: {message}"

@@ -1,10 +1,13 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from rankfit import (
+    FitResult,
     ModelKind,
+    ModelParams,
     RankHistogram,
     Scale,
     diagnose,
@@ -23,6 +26,8 @@ from rankfit import (
 )
 from rankfit.diagnostics import PlotSeries
 from rankfit.models import harmonic
+
+from _oracles import random_histogram
 
 
 def exact_histogram(model, F0):
@@ -144,6 +149,32 @@ def test_diagnose_needs_both_families():
     only_geo = [fit(ModelKind.GEOMETRIC1, h)]
     with pytest.raises(ValueError, match="zeta"):
         diagnose(h, only_geo)
+
+
+def test_diagnose_predicts_the_picked_fits_slopes_bit_for_bit():
+    # -theta is log1p(-q) and -alpha exactly: the fit with the best loglik per family is picked
+    rng = np.random.default_rng(32)
+    for _ in range(200):
+        h = random_histogram(rng)
+        fits = []
+        for kind in ModelKind:
+            R = h.r_max if kind.n_params == 2 else 24
+            q = float(rng.choice([1e-9, 1 - 1e-9, rng.uniform(), 10.0 ** rng.uniform(-9, 0)]))
+            alpha = float(rng.choice([0.0, 1e6, rng.uniform(0, 5), 10.0 ** rng.uniform(-9, 6)]))
+            params = (ModelParams(kind, R=R, N=24, q=q) if kind.family.name == "geometric"
+                      else ModelParams(kind, R=R, N=24, alpha=alpha))
+            fits.append(FitResult(params=params, loglik=float(-rng.uniform(1, 1e4)), iterations=0))
+        geo = max((f for f in fits if f.params.q is not None), key=lambda f: f.loglik)
+        zet = max((f for f in fits if f.params.alpha is not None), key=lambda f: f.loglik)
+        report = diagnose(h, fits)
+        assert report.geometric_slope_prediction == math.log1p(-geo.params.q)
+        assert report.zeta_slope_prediction == -zet.params.alpha
+
+
+def test_diagnose_names_single_rank_data():
+    h = RankHistogram.from_frequencies([7.0])
+    with pytest.raises(ValueError, match=r"^diagnose needs at least 2 attested ranks, got r_max=1$"):
+        diagnose(h, [fit(k, h) for k in ModelKind])
 
 
 def test_diagnose_sampled_geometric_data():

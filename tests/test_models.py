@@ -199,6 +199,38 @@ def test_exponential_form_identity_over_support(q):
         assert abs(geometric - form.value(r)) <= 1e-12 * c
 
 
+@given(st.floats(min_value=1e-12, max_value=1 - 1e-12), st.floats(min_value=1e-6, max_value=1.0))
+def test_exponential_form_beta_is_minus_log1p_of_minus_q(q, c):
+    assert to_exponential_form(q, c).beta == -math.log1p(-q)
+
+
+@pytest.mark.parametrize("kind", list(ModelKind))
+@pytest.mark.parametrize("scalar", [0.05, 0.6, 0.95])
+def test_pmf_is_exp_of_minus_theta_times_the_statistic(kind, scalar):
+    # p(r) / p(1) = exp(-theta (t(r) - t(1))), t(r) = log r (zeta) or r (geometric)
+    m = ModelParams(kind, R=24, N=24, **{kind.family.scalar_name: scalar})
+    t = math.log if kind.is_zeta else float
+    theta = kind.family.theta(scalar)
+    for r in range(1, 25):
+        assert pmf(m, r) / pmf(m, 1) == pytest.approx(math.exp(-theta * (t(r) - t(1))), rel=1e-12)
+
+
+@pytest.mark.parametrize("family, bad", [
+    ("zeta", -0.5), ("zeta", math.nan), ("zeta", math.inf),
+    ("geometric", 0.0), ("geometric", 1.0), ("geometric", -0.1), ("geometric", math.nan),
+])
+def test_an_out_of_domain_scalar_raises_its_family_text_everywhere(family, bad):
+    kind = ModelKind.ZETA1 if family == "zeta" else ModelKind.GEOMETRIC1
+    text = kind.family.domain
+    calls = [lambda: ModelParams(kind, R=24, N=24, **{kind.family.scalar_name: bad})]
+    calls += ([lambda: harmonic(bad, 24)] if family == "zeta" else
+              [lambda: geom_norm(bad, 24), lambda: to_exponential_form(bad, 0.5)])
+    for call in calls:
+        with pytest.raises(ValueError) as caught:
+            call()
+        assert str(caught.value) in (text, f"{text}, got {bad!r}")
+
+
 def test_model_params_validation():
     with pytest.raises(ValueError):
         geometric2(0.5, 25)  # R > N

@@ -296,6 +296,17 @@ SHARED_ORDER = (ModelKind.GEOMETRIC2, ModelKind.ZETA2, ModelKind.GEOMETRIC1,
                 ModelKind.ZETA1)  # 2-parameter kinds fit first
 
 
+@pytest.mark.parametrize("freqs, N, reasons", [
+    ([9, 5, 3, 1], 3, "dataset attests r_max=4 ranks, beyond the domain ceiling N=3"),
+    ([2], 24, "AICc needs F0 > K + 1 (got F0=2.0, K=1); AICc needs F0 > K + 1 (got F0=2.0, K=2)"),
+])
+def test_select_names_why_no_row_could_be_scored(freqs, N, reasons):
+    # the rows' distinct errors, in ensemble order
+    with pytest.raises(ValueError) as caught:
+        select(RankHistogram.from_frequencies(freqs), N=N)
+    assert str(caught.value) == f"no ensemble member could be fitted and scored: {reasons}"
+
+
 @pytest.mark.parametrize("case", EDGE_CASES)
 def test_select_equals_one_fit_per_kind_scored_by_aicc_and_bic(case):
     rng = np.random.default_rng(404)
