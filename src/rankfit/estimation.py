@@ -12,11 +12,11 @@ per point, and since SummaryStats holds only finite moments no value is
 NaN. Zeta points past the short-cut threshold of models.harmonic (alpha >=
 about 54 + log2(R - 1): all scan points but alpha = 0) cost O(1), not O(R).
 
-Two rules cover the edge cases. At R = 1 the likelihood is flat, and the
-fit is unconverged at the interval midpoint. Otherwise the log-likelihood
-is concave in the natural parameter (models._Family.theta), so unimodal in
-the scalar, and an interval end that scores at least as well as the refined
-point is the maximum; it is returned exactly, with a "boundary:" warning.
+Two rules, both ahead of the search, cover the edge cases. At R = 1 the
+likelihood is flat, and the fit is unconverged at the interval midpoint.
+Otherwise the log-likelihood is concave in the natural parameter, so an
+interval end where the score has that end's sign is the maximum
+(models._Family.end), returned exactly with a "boundary:" warning.
 """
 
 from __future__ import annotations
@@ -99,8 +99,8 @@ def _maximize(objective: Callable[[float], float], lo: float, hi: float) -> tupl
     """Maximize a unimodal objective on [lo, hi]: (argmax, value, evaluations).
 
     The scan points bracket the maximum; golden-section search shrinks the
-    winning bracket below _TOL. If the scan's value at lo or hi is >= the
-    refined value, that end is returned exactly.
+    winning bracket below _TOL. The argmax is the bracket's midpoint, never
+    lo or hi: fit decides an interval-end maximum before calling this.
     """
     xs = [lo + (hi - lo) * k / (_SCAN_POINTS - 1) for k in range(_SCAN_POINTS)]
     xs[-1] = hi
@@ -127,11 +127,7 @@ def _maximize(objective: Callable[[float], float], lo: float, hi: float) -> tupl
             x2 = a + _GOLDEN * (b - a)
             f2 = objective(x2)
     x_best = 0.5 * (a + b)
-    v_best = objective(x_best)
-    for x, v in ((lo, values[0]), (hi, values[-1])):
-        if v >= v_best:
-            return x, v, evals
-    return x_best, v_best, evals
+    return x_best, objective(x_best), evals
 
 
 def fit(kind: ModelKind | str, hist: RankHistogram | SummaryStats,
@@ -148,7 +144,7 @@ def fit(kind: ModelKind | str, hist: RankHistogram | SummaryStats,
     histogram under a 2-parameter kind, or N = 1) the pmf is the point mass at
     rank 1 whatever the scalar, so the fit returns the interval midpoint with
     ``converged=False`` and an "unidentifiable" warning; every other fit is
-    converged. An optimum at an interval end carries a "boundary:" warning.
+    converged. An interval-end optimum has a "boundary:" warning and 0 iterations.
     """
     kind, N = ModelKind(kind), _whole(N, "N", 1, 2 ** 63)
     family = kind.family
@@ -157,21 +153,17 @@ def fit(kind: ModelKind | str, hist: RankHistogram | SummaryStats,
         raise ValueError(f"dataset attests r_max={s.r_max} ranks, beyond the domain ceiling N={N}")
 
     R = s.r_max if kind.n_params == 2 else N
-    lo, hi = family.interval
-    name = family.scalar_name
+    (lo, hi), name = family.interval, family.scalar_name
 
     if R == 1:  # every scalar gives the point mass at rank 1
         argmax, value, evals = 0.5 * (lo + hi), 0.0, 0
         notes = (f"degenerate fit: r_max=1 makes {name} unidentifiable "
                  f"(flat likelihood); returning the interval midpoint",)
+    elif (end := family.end(s, R)) is not None:  # no search: the score's sign decides
+        argmax, value, evals = end, family.objective(s, R)(end), 0
+        notes = (f"boundary: optimum at the end {name}={end!r} of [{lo!r}, {hi!r}]",)
     else:
         argmax, value, evals = _maximize(family.objective(s, R), lo, hi)
         notes = ()
-        if argmax in (lo, hi):
-            notes = (f"boundary: optimum at the end {name}={argmax!r} of [{lo!r}, {hi!r}]",)
-    return FitResult(
-        params=ModelParams(kind=kind, R=R, N=N, **{name: argmax}),
-        loglik=value,
-        iterations=evals,
-        warnings=notes,
-    )
+    params = ModelParams(kind=kind, R=R, N=N, **{name: argmax})
+    return FitResult(params=params, loglik=value, iterations=evals, warnings=notes)

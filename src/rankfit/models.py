@@ -222,8 +222,9 @@ class _Family(NamedTuple):
     """One family, p(r) proportional to exp(-theta t(r)), t(r) = log r (zeta) or r
     (geometric): its name, its scalar's name, the natural parameter theta(scalar),
     domain test (stated by domain) and search interval, the normalizer norm(scalar, R),
-    the pmf p(scalar, norm, r) at an int rank or a numpy float array of ranks, and
-    the closed-form log-likelihood objective(stats, R)(scalar) on 1..R for r_max <= R."""
+    the pmf p(scalar, norm, r) at an int rank or a numpy float array of ranks, the closed-form
+    log-likelihood objective(stats, R)(scalar) on 1..R for r_max <= R, and end(stats, R),
+    the interval end that maximizes it by the score's sign, or None."""
 
     name: str
     scalar_name: str
@@ -234,6 +235,7 @@ class _Family(NamedTuple):
     norm: Callable[[float, int], float]
     p: Callable
     objective: Callable[[SummaryStats, int], Callable[[float], float]]
+    end: Callable[[SummaryStats, int], float | None]
 
 
 def _zeta_objective(s: SummaryStats, R: int) -> Callable[[float], float]:
@@ -248,6 +250,20 @@ def _geometric_objective(s: SummaryStats, R: int) -> Callable[[float], float]:
     return lambda q: F0 * math.log(geom_norm(q, R)) + tail * math.log1p(-q)
 
 
+def _end(interval: tuple[float, float], t_lo: float, t_hi: float, tbar: float) -> float | None:
+    """The end of interval where the score F0 (E[t] - tbar), given E[t] there, has that end's
+    sign, or None; lo within 4 eps relative, as uniform data tie but round up to 2.5 eps apart."""
+    return interval[0] if t_lo <= tbar * (1 + 2 ** -50) else interval[1] if t_hi >= tbar else None
+
+
+def _geometric_mean_rank(beta: float, R: int) -> float:
+    """E[r] on 1..R at p(r) proportional to exp(-beta r), in O(1) and within 1e-12 relative:
+    the closed form, or where it cancels (beta R < 5e-4) the series to second order in beta."""
+    if beta * R < 5e-4:
+        return (R + 1) / 2 - beta * (R * R - 1) / 12
+    return 1 / -math.expm1(-beta) - (R / math.expm1(R * beta) if R * beta <= 700 else 0.0)
+
+
 # norm reaches harmonic and geom_norm through the module globals at call
 # time, so a replaced module attribute is the one every caller uses
 _ZETA = _Family(
@@ -256,6 +272,8 @@ _ZETA = _Family(
     interval=ALPHA_INTERVAL, norm=lambda alpha, R: harmonic(alpha, R),
     p=lambda alpha, H, r: r ** -alpha / H,
     objective=_zeta_objective,
+    # E[log r] is log(R!)/R at alpha = 0 and 0.0 at alpha = 1e6, so 1e6 iff r_max = 1
+    end=lambda s, R: _end(ALPHA_INTERVAL, math.lgamma(R + 1) / R, 0.0, s.FlogR / s.F0),
 )
 _GEOMETRIC = _Family(
     name="geometric", scalar_name="q", theta=lambda q: -math.log1p(-q),
@@ -263,6 +281,8 @@ _GEOMETRIC = _Family(
     interval=Q_INTERVAL, norm=lambda q, R: geom_norm(q, R),
     p=lambda q, c, r: c * (1.0 - q) ** (r - 1),
     objective=_geometric_objective,
+    end=lambda s, R: _end(Q_INTERVAL, *(_geometric_mean_rank(_GEOMETRIC.theta(q), R)
+                                        for q in Q_INTERVAL), s.mean_rank),
 )
 
 

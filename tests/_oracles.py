@@ -85,6 +85,19 @@ class ZetaGridOracle:
         return float(fine[i]), float(llf[i])
 
 
+# ----------------------------------------------- the score at an interval end
+
+def score_sign(freqs, R: int, zeta: bool, scalar: float) -> int:
+    """Sign of d loglik / d theta = sum_r f_r (E[t] - t(r)) under the zeta (t = log r)
+    or geometric (t = r) pmf at scalar on 1..R, from fsum sums over the ranks: -1, 1,
+    or 0 within 1e-13 of the sums' size, as an exact tie rounds to."""
+    ts = [math.log(r) if zeta else float(r) for r in range(1, R + 1)]
+    ws = [math.exp(-scalar * t) if zeta else math.exp((t - 1) * math.log1p(-scalar)) for t in ts]
+    F0E = math.fsum(freqs) * math.fsum(w * t for w, t in zip(ws, ts)) / math.fsum(ws)
+    Ft = math.fsum(f * t for f, t in zip(freqs, ts))
+    return 0 if abs(F0E - Ft) <= 1e-13 * (F0E + Ft) else 1 if F0E > Ft else -1
+
+
 # ------------------------------------------------- exact attestation oracle
 
 def prob_all_attested(probs, n: int) -> float:

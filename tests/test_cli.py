@@ -762,6 +762,17 @@ def test_select_and_diagnose_name_why_they_fail(tmp_path, command, r_max, N, cau
     assert one_line_error(proc).startswith(f"error: {cause}")
 
 
+def test_diagnose_rejects_one_rank_at_a_million_ranks_with_one_error_line(tmp_path, capsys):
+    # each kind's fit of one rank is an interval end, decided with no search over 10^6 ranks
+    data = tmp_path / "d.tsv"
+    write_dataset(data, 1)
+    with pytest.raises(SystemExit) as exit_:
+        main(["diagnose", "--input", str(data), "--N", "1000000", "--out-dir", str(tmp_path / "o")])
+    assert exit_.value.code == 1
+    assert capsys.readouterr() == ("", "error: diagnose needs at least 2 attested ranks, "
+                                       "got r_max=1\n")
+
+
 def test_a_bad_flag_prints_no_usage_block_from_the_console(tmp_path):
     argv, message = FLAG_ERRORS["bad-int"]
     assert one_line_error(run_cli(*argv, cwd=tmp_path)) == f"error: {message}"

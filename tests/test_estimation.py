@@ -1,7 +1,10 @@
 import math
+import operator
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from rankfit import (
     ALPHA_INTERVAL,
@@ -21,7 +24,7 @@ from rankfit import (
     geometric2,
 )
 from rankfit.estimation import _maximize
-from _oracles import ZetaGridOracle, grid_mle_q, random_histogram, stats_of
+from _oracles import ZetaGridOracle, grid_mle_q, random_histogram, score_sign, stats_of
 
 
 # ------------------------------------------------------------------ _maximize
@@ -29,13 +32,6 @@ from _oracles import ZetaGridOracle, grid_mle_q, random_histogram, stats_of
 def test_optimizer_finds_parabola_maximum():
     argmax, _, _ = _maximize(lambda x: -(x - 0.25) ** 2, 0.0, 1.0)
     assert abs(argmax - 0.25) <= 1e-9
-
-
-@pytest.mark.parametrize("lo, hi", [(0.0, 1.0), ALPHA_INTERVAL, Q_INTERVAL])
-def test_optimizer_returns_the_interval_end_of_a_monotone_objective(lo, hi):
-    assert _maximize(lambda x: x, lo, hi)[:2] == (hi, hi)
-    assert _maximize(lambda x: -x, lo, hi)[:2] == (lo, -lo)
-    assert _maximize(lambda x: -math.exp(-x), lo, hi)[0] == hi
 
 
 @pytest.mark.parametrize("field", ["F0", "F1", "FlogR"])
@@ -178,14 +174,11 @@ def test_fit_reports_an_interval_end_as_a_boundary_optimum(freqs, kind, end):
     assert result.converged
     assert len(result.warnings) == 1
     assert result.warnings[0].startswith("boundary:")
-    assert result.iterations > 1000
+    assert result.iterations == 0  # the score's sign decides the end, with no search
 
 
-# Near alpha = 0 (or q = 1e-9) these likelihoods are flat to rounding: the
-# refined value comes out one ulp above the end's, and the >= rule keeps an
-# interior optimum (alpha 3.04e-9, 7.8e-9; q 5.5e-9) with no warning. A score
-# test at the interval end would return the end itself.
-@pytest.mark.xfail(strict=True, reason="flat-to-rounding uniform data fit an interior optimum")
+# Near alpha = 0 (or q = 1e-9) these likelihoods are flat to rounding, so no
+# comparison of values can find the end; the score's sign there decides it.
 @pytest.mark.parametrize("freqs, kind, N, end", [
     ([1.0] * 24, "zeta1", 24, ALPHA_INTERVAL[0]),
     ([1.0] * 24, "zeta2", 24, ALPHA_INTERVAL[0]),
@@ -197,6 +190,58 @@ def test_uniform_data_flat_to_rounding_fit_the_interval_end(freqs, kind, N, end)
     assert result.params.scalar == end
     assert len(result.warnings) == 1
     assert result.warnings[0].startswith("boundary:")
+
+
+def assert_boundary_fit(result, end):
+    assert result.params.scalar == end
+    assert result.iterations == 0
+    assert len(result.warnings) == 1 and result.warnings[0].startswith("boundary:")
+
+
+# Equal frequencies tie the zeta test at alpha = 0 in exact arithmetic; in
+# floating point log(R!)/R and FlogR/F0 land up to about 2 ulps apart.
+@given(st.integers(2, 200), st.one_of(st.integers(1, 10 ** 6).map(float),
+                                      st.floats(1e-6, 1e9)))
+@settings(max_examples=300, deadline=None)
+def test_equal_frequencies_fit_the_lower_end_under_every_kind_with_R_at_r_max(r_max, f):
+    hist = RankHistogram.from_frequencies([f] * r_max)
+    for kind in ModelKind:
+        assert_boundary_fit(fit(kind, hist, N=r_max), kind.family.interval[0])
+
+
+@given(st.floats(1e-6, 1e9), st.integers(2, 10 ** 6))
+@settings(max_examples=100, deadline=None)
+def test_one_rank_data_fit_the_upper_end_under_one_parameter_kinds(f, N):
+    for kind in (ModelKind.ZETA1, ModelKind.GEOMETRIC1):
+        assert_boundary_fit(fit(kind, RankHistogram.from_frequencies([f]), N=N),
+                            kind.family.interval[1])
+
+
+@pytest.mark.parametrize("kind", [ModelKind.ZETA1, ModelKind.GEOMETRIC1])
+def test_one_rank_at_a_million_ranks_is_decided_without_a_search(kind):
+    result = fit(kind, RankHistogram.from_frequencies([7.0]), N=10 ** 6)
+    assert_boundary_fit(result, kind.family.interval[1])
+
+
+@given(st.lists(st.integers(1, 50), min_size=1, max_size=200), st.integers(0, 20),
+       st.sampled_from(list(ModelKind)))
+@settings(max_examples=300, deadline=None)
+def test_fit_returns_an_end_iff_the_score_there_has_that_ends_sign(freqs, extra, kind):
+    R = len(freqs) + (extra if kind.n_params == 1 else 0)
+    assume(R > 1)
+    # stats of any order of frequencies, so rising data reach the lower end too
+    ranks = range(1, len(freqs) + 1)
+    s = SummaryStats(F0=math.fsum(freqs), F1=math.fsum(map(operator.mul, freqs, ranks)),
+                     FlogR=math.fsum(f * math.log(r) for f, r in zip(freqs, ranks)),
+                     r_max=len(freqs))
+    result = fit(kind, s, N=len(freqs) + extra)
+    lo, hi = kind.family.interval
+    if score_sign(freqs, R, kind.is_zeta, lo) <= 0:
+        assert_boundary_fit(result, lo)
+    elif score_sign(freqs, R, kind.is_zeta, hi) >= 0:
+        assert_boundary_fit(result, hi)
+    else:
+        assert lo < result.params.scalar < hi and result.warnings == ()
 
 
 @pytest.mark.parametrize("kind", list(ModelKind))

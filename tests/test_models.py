@@ -22,6 +22,7 @@ from rankfit import (
     zeta1,
     zeta2,
 )
+from rankfit.models import Q_INTERVAL, _GEOMETRIC, _geometric_mean_rank
 
 ALPHA_GRID = (0.0, 0.5, 1.0, 2.0, 5.0)
 Q_GRID = (0.05, 0.3, 0.5, 0.9)
@@ -313,3 +314,13 @@ def test_harmonic_rejects_more_than_a_million_ranks_before_summing():
 def test_scalar_property():
     assert zeta2(1.5, 4).scalar == 1.5
     assert geometric1(0.25).scalar == 0.25
+
+
+@pytest.mark.parametrize("beta", [_GEOMETRIC.theta(Q_INTERVAL[0]), 1e-7, 1e-3, 1.0,
+                                  _GEOMETRIC.theta(Q_INTERVAL[1])])
+@pytest.mark.parametrize("R", [2, 3, 24, 1304, 99999, 145431, 539574, 10 ** 6])
+def test_geometric_mean_rank_matches_the_fsum_sums(beta, R):
+    # R = 145431 is past beta R = 1e-4 at q = 1e-9, where the closed form is 2.4e-12 off
+    w = np.exp(-beta * np.arange(R))
+    direct = math.fsum(w * np.arange(1.0, R + 1)) / math.fsum(w)
+    assert _geometric_mean_rank(beta, R) == pytest.approx(direct, rel=1e-12, abs=0)
