@@ -12,11 +12,11 @@ per point, and since SummaryStats holds only finite moments no value is
 NaN. Zeta points past the short-cut threshold of models.harmonic (alpha >=
 about 54 + log2(R - 1): all scan points but alpha = 0) cost O(1), not O(R).
 
-Two rules, both ahead of the search, cover the edge cases. At R = 1 the
-likelihood is flat, and the fit is unconverged at the interval midpoint.
-Otherwise the log-likelihood is concave in the natural parameter, so an
-interval end where the score has that end's sign is the maximum
-(models._Family.end), returned exactly with a "boundary:" warning.
+Two rules, both ahead of the search, cover the edge cases. At R = 1 the likelihood is
+flat, and the fit is unconverged at the interval midpoint. Otherwise the log-likelihood
+is concave in the natural parameter, so an interval end where the score has that end's
+sign is the maximum (models._Family.end), returned exactly with a "boundary:" warning.
+Whichever way the scalar is found, the reported loglik is log_likelihood(params, stats).
 """
 
 from __future__ import annotations
@@ -29,8 +29,7 @@ from typing import Callable
 from ._io import json_object
 from .histogram import RankHistogram, SummaryStats, summarize
 from .models import (ALPHA_INTERVAL, DEFAULT_DOMAIN_CEILING, Q_INTERVAL, ModelKind, ModelParams,
-                     _whole)
-from .models import log_likelihood  # noqa: F401  (bench/tracing.py counts calls through this name)
+                     _whole, log_likelihood)
 
 __all__ = ["ALPHA_INTERVAL", "Q_INTERVAL", "FitResult", "fit"]
 
@@ -95,8 +94,9 @@ class FitResult:
         return result
 
 
-def _maximize(objective: Callable[[float], float], lo: float, hi: float) -> tuple[float, float, int]:
-    """Maximize a unimodal objective on [lo, hi]: (argmax, value, evaluations).
+def _maximize(objective: Callable[[float], float], lo: float, hi: float) -> tuple[float, int]:
+    """Maximize a unimodal objective on [lo, hi]: (argmax, evaluations), the count
+    including the argmax's, which fit evaluates for the reported log-likelihood.
 
     The scan points bracket the maximum; golden-section search shrinks the
     winning bracket below _TOL. The argmax is the bracket's midpoint, never
@@ -113,7 +113,7 @@ def _maximize(objective: Callable[[float], float], lo: float, hi: float) -> tupl
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
     f1, f2 = objective(x1), objective(x2)
-    evals = _SCAN_POINTS + 3  # the scan, x1, x2 and x_best; then one per step
+    evals = _SCAN_POINTS + 3  # the scan, x1, x2 and fit's at the argmax; then one per step
     while b - a > _TOL:
         evals += 1
         if f1 >= f2:
@@ -126,8 +126,7 @@ def _maximize(objective: Callable[[float], float], lo: float, hi: float) -> tupl
             x1, f1 = x2, f2
             x2 = a + _GOLDEN * (b - a)
             f2 = objective(x2)
-    x_best = 0.5 * (a + b)
-    return x_best, objective(x_best), evals
+    return 0.5 * (a + b), evals
 
 
 def fit(kind: ModelKind | str, hist: RankHistogram | SummaryStats,
@@ -156,14 +155,14 @@ def fit(kind: ModelKind | str, hist: RankHistogram | SummaryStats,
     (lo, hi), name = family.interval, family.scalar_name
 
     if R == 1:  # every scalar gives the point mass at rank 1
-        argmax, value, evals = 0.5 * (lo + hi), 0.0, 0
+        argmax, evals = 0.5 * (lo + hi), 0
         notes = (f"degenerate fit: r_max=1 makes {name} unidentifiable "
                  f"(flat likelihood); returning the interval midpoint",)
     elif (end := family.end(s, R)) is not None:  # no search: the score's sign decides
-        argmax, value, evals = end, family.objective(s, R)(end), 0
+        argmax, evals = end, 0
         notes = (f"boundary: optimum at the end {name}={end!r} of [{lo!r}, {hi!r}]",)
     else:
-        argmax, value, evals = _maximize(family.objective(s, R), lo, hi)
+        argmax, evals = _maximize(family.objective(s, R), lo, hi)
         notes = ()
     params = ModelParams(kind=kind, R=R, N=N, **{name: argmax})
-    return FitResult(params=params, loglik=value, iterations=evals, warnings=notes)
+    return FitResult(params, log_likelihood(params, s), evals, notes)

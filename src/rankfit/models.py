@@ -239,9 +239,9 @@ class _Family(NamedTuple):
 
 
 def _zeta_objective(s: SummaryStats, R: int) -> Callable[[float], float]:
-    """alpha -> -alpha * FlogR - F0 * log H(alpha, R)"""
+    """alpha -> -alpha * FlogR - F0 * log H(alpha, R), from 0.0 so an all-zero sum is +0.0"""
     F0, FlogR = s.F0, s.FlogR
-    return lambda alpha: -alpha * FlogR - F0 * math.log(harmonic(alpha, R))
+    return lambda alpha: 0.0 - alpha * FlogR - F0 * math.log(harmonic(alpha, R))
 
 
 def _geometric_objective(s: SummaryStats, R: int) -> Callable[[float], float]:

@@ -14,6 +14,7 @@ from rankfit import (
     Q_INTERVAL,
     RankHistogram,
     SummaryStats,
+    cross_apply,
     expected_frequency,
     fit,
     geometric1,
@@ -30,7 +31,7 @@ from _oracles import ZetaGridOracle, grid_mle_q, random_histogram, score_sign, s
 # ------------------------------------------------------------------ _maximize
 
 def test_optimizer_finds_parabola_maximum():
-    argmax, _, _ = _maximize(lambda x: -(x - 0.25) ** 2, 0.0, 1.0)
+    argmax, _ = _maximize(lambda x: -(x - 0.25) ** 2, 0.0, 1.0)
     assert abs(argmax - 0.25) <= 1e-9
 
 
@@ -50,10 +51,10 @@ def test_optimizer_matches_grid_oracle_on_geometric_objective():
     def objective(q):
         return log_likelihood(geometric2(q, r_max), s)
 
-    argmax, value, _ = _maximize(objective, *Q_INTERVAL)
+    argmax, _ = _maximize(objective, *Q_INTERVAL)
     q_star, ll_star = grid_mle_q(F0, F1, r_max)
     assert abs(argmax - q_star) <= 1e-6
-    assert abs(value - ll_star) <= 1e-8
+    assert abs(objective(argmax) - ll_star) <= 1e-8
     # moment matching makes the optimum exactly 1/2 for these frequencies
     assert abs(argmax - 0.5) <= 1e-6
 
@@ -217,17 +218,21 @@ def test_one_rank_at_a_million_ranks_is_decided_without_a_search(kind):
     assert_boundary_fit(result, kind.family.interval[1])
 
 
+def stats_in_order(freqs):
+    """The stats of freqs at ranks 1, 2, ... in any order, so rising data reach the lower end too."""
+    ranks = range(1, len(freqs) + 1)
+    return SummaryStats(F0=math.fsum(freqs), F1=math.fsum(map(operator.mul, freqs, ranks)),
+                        FlogR=math.fsum(f * math.log(r) for f, r in zip(freqs, ranks)),
+                        r_max=len(freqs))
+
+
 @given(st.lists(st.integers(1, 50), min_size=1, max_size=200), st.integers(0, 20),
        st.sampled_from(list(ModelKind)))
 @settings(max_examples=300, deadline=None)
 def test_fit_returns_an_end_iff_the_score_there_has_that_ends_sign(freqs, extra, kind):
     R = len(freqs) + (extra if kind.n_params == 1 else 0)
     assume(R > 1)
-    # stats of any order of frequencies, so rising data reach the lower end too
-    ranks = range(1, len(freqs) + 1)
-    s = SummaryStats(F0=math.fsum(freqs), F1=math.fsum(map(operator.mul, freqs, ranks)),
-                     FlogR=math.fsum(f * math.log(r) for f, r in zip(freqs, ranks)),
-                     r_max=len(freqs))
+    s = stats_in_order(freqs)
     result = fit(kind, s, N=len(freqs) + extra)
     lo, hi = kind.family.interval
     if score_sign(freqs, R, kind.is_zeta, lo) <= 0:
@@ -236,6 +241,40 @@ def test_fit_returns_an_end_iff_the_score_there_has_that_ends_sign(freqs, extra,
         assert_boundary_fit(result, hi)
     else:
         assert lo < result.params.scalar < hi and result.warnings == ()
+
+
+# R = 1, both interval ends and interior optima: uniform lists fit the lower end, one-rank
+# lists the upper end under 1-parameter kinds with N > 1 (R = 1 otherwise), other lists
+# an end or the interior.
+@given(st.one_of(st.lists(st.integers(1, 50), min_size=1, max_size=200),
+                 st.builds(lambda f, n: [f] * n, st.integers(1, 50), st.integers(1, 200))),
+       st.integers(0, 200), st.sampled_from(list(ModelKind)))
+@settings(max_examples=300, deadline=None)
+def test_fit_reports_log_likelihood_at_its_params_and_a_zero_as_plus_zero(freqs, extra, kind):
+    s = stats_in_order(freqs)
+    result = fit(kind, s, N=min(len(freqs) + extra, 200))
+    assert repr(result.loglik) == repr(log_likelihood(result.params, s))
+    if result.loglik == 0.0:
+        assert math.copysign(1.0, result.loglik) == 1.0
+
+
+def test_one_rank_fits_and_their_cross_apply_report_plus_zero():
+    one = RankHistogram.from_frequencies([7.0])
+    zeta2_fit = fit("zeta2", one)  # R = 1: the degenerate fit
+    for loglik in (fit("zeta1", one, N=24).loglik, zeta2_fit.loglik, cross_apply(zeta2_fit, one)):
+        assert repr(loglik) == "0.0"
+
+
+# On ranks {1, 2} every pmf is both a truncated zeta and a truncated geometric, so the two
+# maximized log-likelihoods are equal in exact arithmetic; each kind still reaches its own by
+# its own objective, 1-2 ulps apart, and that ulp decides AICc and BIC between them.
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 16: the R = 2 tie of zeta2 and geometric2 "
+                                       "is broken by rounding; item 16 removes this marker")
+@pytest.mark.parametrize("freqs", [[5, 5], [9, 4], [7, 2], [1848, 296], [820, 607]],
+                         ids=["5-5", "9-4", "7-2", "golden-52", "golden-78"])
+def test_zeta2_and_geometric2_fit_the_same_log_likelihood_at_two_ranks(freqs):
+    hist = RankHistogram.from_frequencies([float(f) for f in freqs])
+    assert fit("zeta2", hist).loglik == fit("geometric2", hist).loglik
 
 
 @pytest.mark.parametrize("kind", list(ModelKind))
