@@ -4,19 +4,13 @@ The free scalar of each kind is maximized over a fixed interval: alpha on
 [0, 1e6], q on [1e-9, 1 - 1e-9] (the open unit interval realized with an
 inset). 2-parameter kinds pin the truncation rank to R = r_max before the
 scalar search, since the log-likelihood is -inf below r_max and strictly
-decreasing above it. The search is the same for every kind: a scan of 1025
-equally spaced points brackets the maximum, and golden-section search
-shrinks the bracket below 1e-9. Each point evaluates the closed form in F0,
-F1 and FlogR (the family's objective in models); no model object is built
-per point, and since SummaryStats holds only finite moments no value is
-NaN. Zeta points past the short-cut threshold of models.harmonic (alpha >=
-about 54 + log2(R - 1): all scan points but alpha = 0) cost O(1), not O(R).
-
-Two rules, both ahead of the search, cover the edge cases. At R = 1 the likelihood is
-flat, and the fit is unconverged at the interval midpoint. Otherwise the log-likelihood
-is concave in the natural parameter, so an interval end where the score has that end's
-sign is the maximum (models._Family.end), returned exactly with a "boundary:" warning.
-Whichever way the scalar is found, the reported loglik is log_likelihood(params, stats).
+decreasing above it. At R = 1 the likelihood is flat, and the fit is unconverged at
+the interval midpoint. Otherwise the log-likelihood is concave in the natural parameter
+theta, with score F0 (E_theta[t] - tbar), and one rule decides: an interval end where the
+score has that end's sign is the maximum, returned exactly with a "boundary:" warning
+(models._Family.end), else the score's root is. A scan of 1025 equally spaced points of
+the closed form in F0, F1 and FlogR (zeta points past models.harmonic's short-cut cost
+O(1)) picks Newton's start and bracket. The loglik is log_likelihood(params, stats).
 """
 
 from __future__ import annotations
@@ -24,7 +18,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Callable
 
 from ._io import json_object
 from .histogram import RankHistogram, SummaryStats, summarize
@@ -34,8 +27,6 @@ from .models import (ALPHA_INTERVAL, DEFAULT_DOMAIN_CEILING, Q_INTERVAL, ModelKi
 __all__ = ["ALPHA_INTERVAL", "Q_INTERVAL", "FitResult", "fit"]
 
 _SCAN_POINTS = 1025
-_TOL = 1e-9
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -94,39 +85,30 @@ class FitResult:
         return result
 
 
-def _maximize(objective: Callable[[float], float], lo: float, hi: float) -> tuple[float, int]:
-    """Maximize a unimodal objective on [lo, hi]: (argmax, evaluations), the count
-    including the argmax's, which fit evaluates for the reported log-likelihood.
-
-    The scan points bracket the maximum; golden-section search shrinks the
-    winning bracket below _TOL. The argmax is the bracket's midpoint, never
-    lo or hi: fit decides an interval-end maximum before calling this.
-    """
+def _maximize(family, s: SummaryStats, R: int) -> tuple[float, int]:
+    """The interior maximum of family.objective(s, R) and the evaluations: the scan points,
+    the Newton steps and fit's at the argmax. The best scan point starts Newton's method on
+    the score in theta, its neighbours bracket the root, and a step that leaves the bracket
+    bisects it; the step is tested for convergence first, as the bracket may end at theta."""
+    lo, hi = family.interval
     xs = [lo + (hi - lo) * k / (_SCAN_POINTS - 1) for k in range(_SCAN_POINTS)]
     xs[-1] = hi
-    values = list(map(objective, xs))
+    values = list(map(family.objective(s, R), xs))
 
-    best = values.index(max(values))
-    a, b = xs[max(best - 1, 0)], xs[min(best + 1, _SCAN_POINTS - 1)]
-
-    # golden-section refinement on [a, b]
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1, f2 = objective(x1), objective(x2)
-    evals = _SCAN_POINTS + 3  # the scan, x1, x2 and fit's at the argmax; then one per step
-    while b - a > _TOL:
+    k = values.index(max(values))
+    a, theta, b = map(family.theta, (xs[max(k - 1, 0)], xs[k], xs[min(k + 1, _SCAN_POINTS - 1)]))
+    tbar, evals = family.mean(s), _SCAN_POINTS + 1  # the scan and fit's at the argmax
+    while True:
+        E, var = family.moments(theta, R)
         evals += 1
-        if f1 >= f2:
-            b = x2
-            x2, f2 = x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = objective(x1)
-        else:
-            a = x1
-            x1, f1 = x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = objective(x2)
-    return 0.5 * (a + b), evals
+        # var = 0 only where every zeta weight past rank 1 underflows: E = 0 < tbar
+        step = (E - tbar) / var if var else -math.inf
+        if abs(step) <= 1e-13 * max(1.0, theta):
+            return family.scalar(theta + step), evals
+        a, b = (theta, b) if step > 0 else (a, theta)
+        theta = theta + step if a < theta + step < b else 0.5 * (a + b)
+        if theta in (a, b):  # no float lies between a and b
+            return family.scalar(theta), evals
 
 
 def fit(kind: ModelKind | str, hist: RankHistogram | SummaryStats,
@@ -135,8 +117,8 @@ def fit(kind: ModelKind | str, hist: RankHistogram | SummaryStats,
 
     2-parameter kinds get R = r_max (any smaller R has zero likelihood,
     any larger strictly lowers it); 1-parameter kinds get R = N. The free
-    scalar is then maximized over its interval by the fixed scan and
-    golden-section search of the module docstring. The stats are all a fit
+    scalar is then maximized over its interval by the end rule, or the scan
+    and Newton steps, of the module docstring. The stats are all a fit
     reads, so ``select`` passes the ones it made and summarizes once.
 
     Rejects an N below 1 or not whole, and r_max > N. At R = 1 (a single-rank
@@ -162,7 +144,7 @@ def fit(kind: ModelKind | str, hist: RankHistogram | SummaryStats,
         argmax, evals = end, 0
         notes = (f"boundary: optimum at the end {name}={end!r} of [{lo!r}, {hi!r}]",)
     else:
-        argmax, evals = _maximize(family.objective(s, R), lo, hi)
+        argmax, evals = _maximize(family, s, R)
         notes = ()
     params = ModelParams(kind=kind, R=R, N=N, **{name: argmax})
     return FitResult(params, log_likelihood(params, s), evals, notes)

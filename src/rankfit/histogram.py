@@ -92,8 +92,8 @@ class SummaryStats:
         slack = 1e-9 * max(1.0, abs(self.F1))
         if not (0 < self.F0 <= self.F1 + slack and self.F1 <= self.F0 * self.r_max + slack):
             raise ValueError("0 < F0 <= F1 <= F0*r_max violated")
-        if self.FlogR < -1e-12 or (self.r_max == 1 and self.FlogR != 0.0):
-            raise ValueError("FlogR must be >= 0 and zero iff r_max == 1")
+        if self.FlogR < -1e-12 or (self.r_max == 1 and (self.FlogR, self.F1) != (0.0, self.F0)):
+            raise ValueError("FlogR must be >= 0 and zero iff r_max == 1, where F1 must equal F0")
 
     @property
     def mean_rank(self) -> float:

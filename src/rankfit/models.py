@@ -220,20 +220,24 @@ def geom_norm(q: float, R: int) -> float:
 
 class _Family(NamedTuple):
     """One family, p(r) proportional to exp(-theta t(r)), t(r) = log r (zeta) or r
-    (geometric): its name, its scalar's name, the natural parameter theta(scalar),
-    domain test (stated by domain) and search interval, the normalizer norm(scalar, R),
-    the pmf p(scalar, norm, r) at an int rank or a numpy float array of ranks, the closed-form
-    log-likelihood objective(stats, R)(scalar) on 1..R for r_max <= R, and end(stats, R),
-    the interval end that maximizes it by the score's sign, or None."""
+    (geometric): its name, its scalar's name, theta(scalar) and its inverse scalar(theta),
+    domain test (stated by domain) and search interval, the normalizer norm(scalar, R), the
+    pmf p(scalar, norm, r) at an int rank or a numpy float array of ranks, the data's mean
+    of t, mean(stats), and the pmf's mean and variance of t on 1..R, moments(theta, R), the
+    closed-form log-likelihood objective(stats, R)(scalar) on 1..R for r_max <= R, and
+    end(stats, R), the interval end that maximizes it by the score's sign, or None."""
 
     name: str
     scalar_name: str
     theta: Callable[[float], float]
+    scalar: Callable[[float], float]
     in_domain: Callable[[float], bool]
     domain: str
     interval: tuple[float, float]
     norm: Callable[[float, int], float]
     p: Callable
+    mean: Callable[[SummaryStats], float]
+    moments: Callable[[float, int], tuple[float, float]]
     objective: Callable[[SummaryStats, int], Callable[[float], float]]
     end: Callable[[SummaryStats, int], float | None]
 
@@ -256,32 +260,46 @@ def _end(interval: tuple[float, float], t_lo: float, t_hi: float, tbar: float) -
     return interval[0] if t_lo <= tbar * (1 + 2 ** -50) else interval[1] if t_hi >= tbar else None
 
 
-def _geometric_mean_rank(beta: float, R: int) -> float:
-    """E[r] on 1..R at p(r) proportional to exp(-beta r), in O(1) and within 1e-12 relative:
-    the closed form, or where it cancels (beta R < 5e-4) the series to second order in beta."""
+def _zeta_moments(alpha: float, R: int) -> tuple[float, float]:
+    """(E, Var) of log r on 1..R at p(r) proportional to r**-alpha (0.0 where that underflows),
+    from fsum sums, the variance centred at the mean."""
+    weights = list(map(pow, range(1, R + 1), repeat(-alpha)))
+    logs = list(map(math.log, range(1, R + 1)))
+    Z = math.fsum(weights)
+    E = math.fsum(w * t for w, t in zip(weights, logs)) / Z
+    return E, math.fsum(w * (t - E) ** 2 for w, t in zip(weights, logs)) / Z
+
+
+def _geometric_moments(beta: float, R: int) -> tuple[float, float]:
+    """(E, Var) of r on 1..R at p(r) proportional to exp(-beta r), in O(1), E within 1e-12
+    relative: the closed forms, or where they cancel (beta R < 5e-4) the series to beta**2."""
     if beta * R < 5e-4:
-        return (R + 1) / 2 - beta * (R * R - 1) / 12
-    return 1 / -math.expm1(-beta) - (R / math.expm1(R * beta) if R * beta <= 700 else 0.0)
+        return ((R + 1) / 2 - beta * (R * R - 1) / 12,
+                (R * R - 1) / 12 - beta * beta * (R ** 4 - 1) / 240)
+    E = 1 / -math.expm1(-beta) - (R / math.expm1(R * beta) if R * beta <= 700 else 0.0)
+    v, v_R = (math.exp(-b) / math.expm1(-b) ** 2 for b in (beta, R * beta))  # untruncated Var
+    return E, v - R * R * v_R
 
 
 # norm reaches harmonic and geom_norm through the module globals at call
 # time, so a replaced module attribute is the one every caller uses
 _ZETA = _Family(
-    name="zeta", scalar_name="alpha", theta=lambda alpha: alpha,
+    name="zeta", scalar_name="alpha", theta=lambda alpha: alpha, scalar=lambda theta: theta,
     in_domain=lambda alpha: 0.0 <= alpha < math.inf, domain="alpha must be a finite real >= 0",
     interval=ALPHA_INTERVAL, norm=lambda alpha, R: harmonic(alpha, R),
     p=lambda alpha, H, r: r ** -alpha / H,
-    objective=_zeta_objective,
+    mean=lambda s: s.FlogR / s.F0, moments=_zeta_moments, objective=_zeta_objective,
     # E[log r] is log(R!)/R at alpha = 0 and 0.0 at alpha = 1e6, so 1e6 iff r_max = 1
-    end=lambda s, R: _end(ALPHA_INTERVAL, math.lgamma(R + 1) / R, 0.0, s.FlogR / s.F0),
+    end=lambda s, R: _end(ALPHA_INTERVAL, math.lgamma(R + 1) / R, 0.0, _ZETA.mean(s)),
 )
 _GEOMETRIC = _Family(
     name="geometric", scalar_name="q", theta=lambda q: -math.log1p(-q),
+    scalar=lambda beta: -math.expm1(-beta),
     in_domain=lambda q: 0.0 < q < 1.0, domain="q must lie in the open interval (0, 1)",
     interval=Q_INTERVAL, norm=lambda q, R: geom_norm(q, R),
     p=lambda q, c, r: c * (1.0 - q) ** (r - 1),
-    objective=_geometric_objective,
-    end=lambda s, R: _end(Q_INTERVAL, *(_geometric_mean_rank(_GEOMETRIC.theta(q), R)
+    mean=lambda s: s.mean_rank, moments=_geometric_moments, objective=_geometric_objective,
+    end=lambda s, R: _end(Q_INTERVAL, *(_geometric_moments(_GEOMETRIC.theta(q), R)[0]
                                         for q in Q_INTERVAL), s.mean_rank),
 )
 

@@ -2,12 +2,14 @@
 
 These deliberately avoid the package's optimizer and estimator code paths:
 likelihoods are re-expressed directly from the closed forms and maximized
-by dense grid search; the undersampling probability comes from exact
+by dense grid search, or the score's root is found in 40-digit decimal
+arithmetic; the undersampling probability comes from exact
 inclusion-exclusion. Only package *data* types are imported.
 """
 
 from __future__ import annotations
 
+import decimal
 import math
 
 import numpy as np
@@ -96,6 +98,42 @@ def score_sign(freqs, R: int, zeta: bool, scalar: float) -> int:
     F0E = math.fsum(freqs) * math.fsum(w * t for w, t in zip(ws, ts)) / math.fsum(ws)
     Ft = math.fsum(f * t for f, t in zip(freqs, ts))
     return 0 if abs(F0E - Ft) <= 1e-13 * (F0E + Ft) else 1 if F0E > Ft else -1
+
+
+# ------------------------------------------------------------- the exact MLE
+
+def exact_mle(freqs, R: int, family: str) -> float:
+    """The maximum-likelihood scalar of the "zeta" or "geometric" family on ranks 1..R for
+    frequencies freqs at ranks 1, 2, ...: the root in theta of the score
+    sum_r f_r (E_theta[t] - t(r)), t = log r or r - 1, by Newton's method with a bisection
+    safeguard in decimal arithmetic at 40 digits, rounded to a double (alpha = theta, or
+    q = 1 - exp(-theta)). The root must be interior, the score positive at theta = 0."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        D = decimal.Decimal
+        ts = [D(r).ln() if family == "zeta" else D(r - 1) for r in range(1, R + 1)]
+        fs = [D(f) for f in freqs]  # exactly the doubles given
+        tbar = sum(f * t for f, t in zip(fs, ts)) / sum(fs)
+
+        def moments(theta):
+            ws = [(-theta * t).exp() for t in ts]
+            Z = sum(ws)
+            E = sum(w * t for w, t in zip(ws, ts)) / Z
+            return E, sum(w * (t - E) ** 2 for w, t in zip(ws, ts)) / Z
+
+        lo, hi = D(0), D(1)
+        while moments(hi)[0] > tbar:  # the score is still positive at hi
+            lo, hi = hi, 2 * hi
+        theta = (lo + hi) / 2
+        for _ in range(500):
+            E, var = moments(theta)
+            lo, hi = (theta, hi) if E > tbar else (lo, theta)
+            step = (E - tbar) / var
+            if abs(step) <= D("1e-35") * max(1, theta):  # before the bracket, which holds theta
+                theta += step
+                return float(theta if family == "zeta" else 1 - (-theta).exp())
+            theta = theta + step if lo < theta + step < hi else (lo + hi) / 2
+    raise ArithmeticError(f"exact_mle did not converge on {freqs!r}, R={R}")
 
 
 # ------------------------------------------------- exact attestation oracle

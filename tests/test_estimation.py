@@ -24,15 +24,8 @@ from rankfit import (
     zeta2,
     geometric2,
 )
-from rankfit.estimation import _maximize
-from _oracles import ZetaGridOracle, grid_mle_q, random_histogram, score_sign, stats_of
-
-
-# ------------------------------------------------------------------ _maximize
-
-def test_optimizer_finds_parabola_maximum():
-    argmax, _ = _maximize(lambda x: -(x - 0.25) ** 2, 0.0, 1.0)
-    assert abs(argmax - 0.25) <= 1e-9
+from _oracles import (ZetaGridOracle, exact_mle, grid_mle_q, random_histogram, score_sign,
+                      stats_of)
 
 
 @pytest.mark.parametrize("field", ["F0", "F1", "FlogR"])
@@ -41,32 +34,6 @@ def test_summary_stats_reject_non_finite_values_so_no_fit_sees_them(field, value
     # the objective is finite or -inf on finite stats; NaN could only come from these
     with pytest.raises(ValueError, match=f"^{field} must be finite, got"):
         SummaryStats(**{"F0": 10.0, "F1": 20.0, "FlogR": 5.0, "r_max": 3, field: value})
-
-
-def test_optimizer_matches_grid_oracle_on_geometric_objective():
-    h = RankHistogram.from_frequencies([8, 4, 2, 1])
-    F0, F1, _, r_max = stats_of(h)
-    s = summarize(h)
-
-    def objective(q):
-        return log_likelihood(geometric2(q, r_max), s)
-
-    argmax, _ = _maximize(objective, *Q_INTERVAL)
-    q_star, ll_star = grid_mle_q(F0, F1, r_max)
-    assert abs(argmax - q_star) <= 1e-6
-    assert abs(objective(argmax) - ll_star) <= 1e-8
-    # moment matching makes the optimum exactly 1/2 for these frequencies
-    assert abs(argmax - 0.5) <= 1e-6
-
-
-def test_optimizer_deterministic():
-    h = random_histogram(np.random.default_rng(0))
-    s = summarize(h)
-
-    def objective(q):
-        return log_likelihood(geometric2(q, s.r_max), s)
-
-    assert _maximize(objective, *Q_INTERVAL) == _maximize(objective, *Q_INTERVAL)
 
 
 # ------------------------------------------------------------------------ fit
@@ -258,6 +225,15 @@ def test_fit_reports_log_likelihood_at_its_params_and_a_zero_as_plus_zero(freqs,
         assert math.copysign(1.0, result.loglik) == 1.0
 
 
+@given(st.floats(1e-300, 1e300), st.integers(1, 10 ** 6))
+@settings(max_examples=200, deadline=None)
+def test_every_one_rank_summary_fits_to_zero_under_every_kind_at_R_1(f, N):
+    s = summarize(RankHistogram.from_frequencies([f]))  # F1 == F0 and FlogR == 0.0, as required
+    for kind in ModelKind:
+        result = fit(kind, s, N=N if kind.n_params == 2 else 1)
+        assert result.params.R == 1 and repr(result.loglik) == "0.0"
+
+
 def test_one_rank_fits_and_their_cross_apply_report_plus_zero():
     one = RankHistogram.from_frequencies([7.0])
     zeta2_fit = fit("zeta2", one)  # R = 1: the degenerate fit
@@ -266,12 +242,13 @@ def test_one_rank_fits_and_their_cross_apply_report_plus_zero():
 
 
 # On ranks {1, 2} every pmf is both a truncated zeta and a truncated geometric, so the two
-# maximized log-likelihoods are equal in exact arithmetic; each kind still reaches its own by
-# its own objective, 1-2 ulps apart, and that ulp decides AICc and BIC between them.
+# maximized log-likelihoods are equal in exact arithmetic; each kind still evaluates its own
+# by its own objective, 1-2 ulps apart even at the exact scalars, and that ulp decides AICc
+# and BIC between them. These cases still differ; [9, 4] ties since the fits are exact.
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 16: the R = 2 tie of zeta2 and geometric2 "
                                        "is broken by rounding; item 16 removes this marker")
-@pytest.mark.parametrize("freqs", [[5, 5], [9, 4], [7, 2], [1848, 296], [820, 607]],
-                         ids=["5-5", "9-4", "7-2", "golden-52", "golden-78"])
+@pytest.mark.parametrize("freqs", [[5, 5], [7, 2], [1848, 296], [820, 607]],
+                         ids=["5-5", "7-2", "golden-52", "golden-78"])
 def test_zeta2_and_geometric2_fit_the_same_log_likelihood_at_two_ranks(freqs):
     hist = RankHistogram.from_frequencies([float(f) for f in freqs])
     assert fit("zeta2", hist).loglik == fit("geometric2", hist).loglik
@@ -306,6 +283,36 @@ def test_fit_result_json_round_trip():
     h = RankHistogram.from_frequencies([9, 5, 2])
     result = fit(ModelKind.GEOMETRIC2, h)
     assert FitResult.from_dict(result.as_dict()) == result
+
+
+# ---------------------------------------------------------------- the exact MLE
+
+def exact_mle_case(i):
+    """Histogram i of the exact-MLE test and its N: integer frequencies (odd i) or real ones,
+    r_max 2-24, and N = 200 for every fourth."""
+    rng = np.random.default_rng([36, i])
+    if i % 2:
+        hist = random_histogram(rng)
+    else:
+        size = int(rng.integers(2, 25))
+        hist = RankHistogram.from_frequencies(np.sort(rng.uniform(0.01, 500.0, size))[::-1])
+    return hist, 200 if i % 4 == 0 else 24
+
+
+# The bound is fixed: a fit outside it is a defect of the fit, not a reason to widen it.
+@pytest.mark.parametrize("i", range(100))
+def test_interior_fits_are_the_exact_mle(i):
+    hist, N = exact_mle_case(i)
+    s = summarize(hist)
+    for kind in ModelKind:
+        result = fit(kind, s, N)
+        assert fit(kind, s, N) == result
+        assert result.warnings == ()  # every fit of these histograms is interior
+        R, name = result.params.R, kind.family.scalar_name
+        exact = exact_mle(hist.frequencies, R, kind.family.name)
+        assert abs(result.params.scalar - exact) <= 1e-13 * exact
+        at_exact = log_likelihood(ModelParams(kind, R=R, N=N, **{name: exact}), s)
+        assert result.loglik >= at_exact - 4 * math.ulp(at_exact)
 
 
 # ------------------------------------------------------------------ theorems

@@ -22,7 +22,7 @@ from rankfit import (
     zeta1,
     zeta2,
 )
-from rankfit.models import Q_INTERVAL, _GEOMETRIC, _geometric_mean_rank
+from rankfit.models import Q_INTERVAL, _GEOMETRIC, _geometric_moments, _zeta_moments
 
 ALPHA_GRID = (0.0, 0.5, 1.0, 2.0, 5.0)
 Q_GRID = (0.05, 0.3, 0.5, 0.9)
@@ -316,11 +316,49 @@ def test_scalar_property():
     assert geometric1(0.25).scalar == 0.25
 
 
-@pytest.mark.parametrize("beta", [_GEOMETRIC.theta(Q_INTERVAL[0]), 1e-7, 1e-3, 1.0,
+@pytest.mark.parametrize("beta", [_GEOMETRIC.theta(Q_INTERVAL[0]), 1e-7, 1e-6, 1e-3, 1.0,
                                   _GEOMETRIC.theta(Q_INTERVAL[1])])
-@pytest.mark.parametrize("R", [2, 3, 24, 1304, 99999, 145431, 539574, 10 ** 6])
+@pytest.mark.parametrize("R", [2, 3, 24, 499, 501, 1304, 99999, 145431, 539574, 10 ** 6])
 def test_geometric_mean_rank_matches_the_fsum_sums(beta, R):
-    # R = 145431 is past beta R = 1e-4 at q = 1e-9, where the closed form is 2.4e-12 off
+    # R = 145431 is past beta R = 1e-4 at q = 1e-9, where the closed form is 2.4e-12 off;
+    # at beta = 1e-6, R = 499 and 501 sit on either side of the series' switch at beta R = 5e-4
     w = np.exp(-beta * np.arange(R))
-    direct = math.fsum(w * np.arange(1.0, R + 1)) / math.fsum(w)
-    assert _geometric_mean_rank(beta, R) == pytest.approx(direct, rel=1e-12, abs=0)
+    ranks = np.arange(1.0, R + 1)
+    direct = math.fsum(w * ranks) / math.fsum(w)
+    mean, var = _geometric_moments(beta, R)
+    assert mean == pytest.approx(direct, rel=1e-12, abs=0)
+    # the closed-form variance cancels to about 50 eps / (beta R)**2 above the switch (1.5e-8
+    # at beta R = 5.4e-4); it only scales Newton's steps, whose root E = tbar the mean decides
+    assert var == pytest.approx(math.fsum(w * (ranks - direct) ** 2) / math.fsum(w), rel=1e-7, abs=0)
+
+
+def zeta_moments_by_fsum(alpha, R, k):
+    """E and Var of log r on 1..R under the weights (r / k)**-alpha, r**-alpha scaled by k**alpha
+    so that ranks up to about 2k stay clear of underflow."""
+    logs = [math.log(r) for r in range(1, R + 1)]
+    weights = [(r / k) ** -alpha for r in range(1, R + 1)]
+    Z = math.fsum(weights)
+    E = math.fsum(w * t for w, t in zip(weights, logs)) / Z
+    return E, math.fsum(w * (t - E) ** 2 for w, t in zip(weights, logs)) / Z
+
+
+@pytest.mark.parametrize("alpha", [1e-3, 0.5, 1.0, 2.5, 7.0])
+@pytest.mark.parametrize("R", [2, 24, 200])
+def test_zeta_moments_are_the_derivatives_of_log_harmonic(alpha, R):
+    # E = -d log H / d alpha and Var = d^2 log H / d alpha^2, by central differences
+    h = 1e-4
+    below, at, above = (math.log(harmonic(alpha + k * h, R)) for k in (-1, 0, 1))
+    E, var = _zeta_moments(alpha, R)
+    assert E == pytest.approx((below - above) / (2 * h), rel=1e-8)
+    assert var == pytest.approx((below - 2 * at + above) / h ** 2, rel=1e-5)
+    assert (E, var) == pytest.approx(zeta_moments_by_fsum(alpha, R, 1), rel=1e-14)
+
+
+@pytest.mark.parametrize("alpha, R", [(300.0, 24), (300.0, 200), (1000.0, 200), (1100.0, 24)])
+def test_zeta_moments_where_the_weights_underflow(alpha, R):
+    # r**-alpha is 0.0 from rank 12 on at alpha = 300 and from rank 2 on at alpha = 1100
+    if alpha > 1075:
+        assert _zeta_moments(alpha, R) == (0.0, 0.0)  # the exact moments are below 1e-323
+    else:
+        assert _zeta_moments(alpha, R) == pytest.approx(zeta_moments_by_fsum(alpha, R, 2),
+                                                        rel=1e-13, abs=0)
