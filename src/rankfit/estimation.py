@@ -1,16 +1,15 @@
 """Maximum-likelihood fitting of the ensemble members.
 
-The free scalar of each kind is maximized over a fixed interval: alpha on
-[0, 1e6], q on [1e-9, 1 - 1e-9] (the open unit interval realized with an
-inset). 2-parameter kinds pin the truncation rank to R = r_max before the
-scalar search, since the log-likelihood is -inf below r_max and strictly
-decreasing above it. At R = 1 the likelihood is flat, and the fit is unconverged at
-the interval midpoint. Otherwise the log-likelihood is concave in the natural parameter
-theta, with score F0 (E_theta[t] - tbar), and one rule decides: an interval end where the
-score has that end's sign is the maximum, returned exactly with a "boundary:" warning
-(models._Family.end), else the score's root is. A scan of 1025 equally spaced points of
-the closed form in F0, F1 and FlogR (zeta points past models.harmonic's short-cut cost
-O(1)) picks Newton's start and bracket. The loglik is log_likelihood(params, stats).
+The free scalar of each kind is maximized over a fixed interval: alpha on [0, 1e6],
+q on [1e-9, 1 - 1e-9] (the open unit interval realized with an inset). 2-parameter
+kinds pin the truncation rank to R = r_max first, since the log-likelihood is -inf
+below r_max and strictly decreasing above it. At R = 1 the likelihood is flat, and the
+fit is unconverged at the interval midpoint. Otherwise the log-likelihood is concave in
+the natural parameter theta, with score F0 (E_theta[t] - tbar), and one rule decides: an
+interval end where the score has that end's sign is the maximum, returned exactly with a
+"boundary:" warning (models._Family.end), else the score's root is. A scan of 1025 equally
+spaced points of the closed form in F0, F1 and FlogR (zeta points past models.harmonic's
+short-cut cost O(1)) picks Newton's start and bracket. loglik is log_likelihood(params, s).
 """
 
 from __future__ import annotations

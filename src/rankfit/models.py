@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -266,7 +267,7 @@ def _zeta_moments(alpha: float, R: int) -> tuple[float, float]:
     weights = list(map(pow, range(1, R + 1), repeat(-alpha)))
     logs = list(map(math.log, range(1, R + 1)))
     Z = math.fsum(weights)
-    E = math.fsum(w * t for w, t in zip(weights, logs)) / Z
+    E = math.fsum(map(operator.mul, weights, logs)) / Z
     return E, math.fsum(w * (t - E) ** 2 for w, t in zip(weights, logs)) / Z
 
 
@@ -300,7 +301,7 @@ _GEOMETRIC = _Family(
     p=lambda q, c, r: c * (1.0 - q) ** (r - 1),
     mean=lambda s: s.mean_rank, moments=_geometric_moments, objective=_geometric_objective,
     end=lambda s, R: _end(Q_INTERVAL, *(_geometric_moments(_GEOMETRIC.theta(q), R)[0]
-                                        for q in Q_INTERVAL), s.mean_rank),
+                                        for q in Q_INTERVAL), _GEOMETRIC.mean(s)),
 )
 
 

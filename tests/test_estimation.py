@@ -244,7 +244,7 @@ def test_one_rank_fits_and_their_cross_apply_report_plus_zero():
 # On ranks {1, 2} every pmf is both a truncated zeta and a truncated geometric, so the two
 # maximized log-likelihoods are equal in exact arithmetic; each kind still evaluates its own
 # by its own objective, 1-2 ulps apart even at the exact scalars, and that ulp decides AICc
-# and BIC between them. These cases still differ; [9, 4] ties since the fits are exact.
+# and BIC between them. These cases still differ with exact fits.
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 16: the R = 2 tie of zeta2 and geometric2 "
                                        "is broken by rounding; item 16 removes this marker")
 @pytest.mark.parametrize("freqs", [[5, 5], [7, 2], [1848, 296], [820, 607]],
