@@ -8,8 +8,8 @@ fit is unconverged at the interval midpoint. Otherwise the log-likelihood is con
 the natural parameter theta, with score F0 (E_theta[t] - tbar), and one rule decides: an
 interval end where the score has that end's sign is the maximum, returned exactly with a
 "boundary:" warning (models._Family.end), else the score's root is. A scan of 1025 equally
-spaced points of the closed form in F0, F1 and FlogR (zeta points past models.harmonic's
-short-cut cost O(1)) picks Newton's start and bracket. loglik is log_likelihood(params, s).
+spaced points of models._log_likelihood (zeta points past the underflow of 2**-alpha cost
+O(1)) picks Newton's start and bracket. loglik is log_likelihood(params, s): one formula.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from ._io import json_object
 from .histogram import RankHistogram, SummaryStats, summarize
 from .models import (ALPHA_INTERVAL, DEFAULT_DOMAIN_CEILING, Q_INTERVAL, ModelKind, ModelParams,
-                     _whole, log_likelihood)
+                     _log_likelihood, _whole, log_likelihood)
 
 __all__ = ["ALPHA_INTERVAL", "Q_INTERVAL", "FitResult", "fit"]
 
@@ -85,17 +85,18 @@ class FitResult:
 
 
 def _maximize(family, s: SummaryStats, R: int) -> tuple[float, int]:
-    """The interior maximum of family.objective(s, R) and the evaluations: the scan points,
-    the Newton steps and fit's at the argmax. The best scan point starts Newton's method on
-    the score in theta, its neighbours bracket the root, and a step that leaves the bracket
-    bisects it; the step is tested for convergence first, as the bracket may end at theta."""
+    """The interior maximum of _log_likelihood(family, s, R) and the evaluations: the scan
+    points, the Newton steps and fit's at the argmax. The best scan point starts Newton's
+    method on the score in theta, its neighbours bracket the root, and a step that leaves the
+    bracket bisects it; the step is tested for convergence first, as the bracket may end at theta."""
     lo, hi = family.interval
     xs = [lo + (hi - lo) * k / (_SCAN_POINTS - 1) for k in range(_SCAN_POINTS)]
     xs[-1] = hi
-    values = list(map(family.objective(s, R), xs))
+    thetas = list(map(family.theta, xs))
+    values = list(map(_log_likelihood(family, s, R), thetas))
 
     k = values.index(max(values))
-    a, theta, b = map(family.theta, (xs[max(k - 1, 0)], xs[k], xs[min(k + 1, _SCAN_POINTS - 1)]))
+    a, theta, b = thetas[max(k - 1, 0)], thetas[k], thetas[min(k + 1, _SCAN_POINTS - 1)]
     tbar, evals = family.mean(s), _SCAN_POINTS + 1  # the scan and fit's at the argmax
     while True:
         E, var = family.moments(theta, R)

@@ -86,7 +86,9 @@ class SummaryStats:
     r_max: int
 
     def __post_init__(self):
-        for name in ("F0", "F1", "FlogR"):  # so no fit objective ever evaluates to NaN
+        if type(self.r_max) is not int:  # a bool is an int to Python, but no rank count
+            raise ValueError(f"r_max must be an int, got {self.r_max!r}")
+        for name in ("F0", "F1", "FlogR"):  # so no log-likelihood ever evaluates to NaN
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         slack = 1e-9 * max(1.0, abs(self.F1))

@@ -11,8 +11,9 @@ rank R; the 1-parameter kinds pin R to the domain ceiling N:
 with H the generalized harmonic number and c(q, R) = q / (1 - (1-q)**R).
 All logarithms are natural; log-likelihoods are in nats.
 
-Both are one-parameter exponential families on ranks 1..R; what separates
-them is stated once, in the record that ModelKind.family returns.
+Both are one-parameter exponential families on ranks 1..R, with one
+log-likelihood formula in the natural parameter and log Z (_log_likelihood);
+what separates them is stated once, in the record that ModelKind.family returns.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ _MAX_RANKS = 10 ** 6  # the largest R harmonic sums and sample_counts draws over
 
 ALPHA_INTERVAL = (0.0, 1.0e6)
 Q_INTERVAL = (1e-9, 1.0 - 1e-9)
+_LOG_2 = math.log(2.0)
 
 
 class ModelKind(str, Enum):
@@ -99,9 +101,10 @@ class ModelParams:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", ModelKind(self.kind))
-        if not (isinstance(self.N, int) and self.N >= 1):
+        # a bool is an int to Python (JSON true is 1), but no rank count
+        if not (type(self.N) is int and self.N >= 1):
             raise ValueError("N must be a positive integer")
-        if not (isinstance(self.R, int) and 1 <= self.R <= self.N):
+        if not (type(self.R) is int and 1 <= self.R <= self.N):
             raise ValueError(f"R must satisfy 1 <= R <= N, got R={self.R}, N={self.N}")
         if self.kind.n_params == 1 and self.R != self.N:
             raise ValueError(f"{self.kind.value} has R = N by construction")
@@ -191,17 +194,24 @@ def harmonic(alpha: float, R: int) -> float:
     fsum keeps the result exactly rounded either way. Once (R - 1) * 2**-alpha
     <= 2**-54 (alpha >= about 54 + log2(R - 1)) the terms below rank 1 total
     under half an ulp of 1 (factor 2 spare for pow rounding), so 1.0 is exact.
-    R may not exceed _MAX_RANKS, so no sum costs more than 10**6 terms.
+    R may not exceed _MAX_RANKS (_zeta_sum), not even for the short-cut.
     """
-    if R < 1:
-        raise ValueError("R must be >= 1")
-    if R > _MAX_RANKS:
-        raise ValueError(f"the zeta normalizer sums at most {_MAX_RANKS} ranks, got R={R}")
+    if not (type(R) is int and R >= 1):
+        raise ValueError(f"R must be >= 1 and an int, got {R!r}")
     if not (math.isfinite(alpha) and alpha >= 0):
         raise ValueError(_ZETA.domain)
-    if (R - 1) * 2.0 ** -alpha <= 2.0 ** -54:
+    if (R - 1) * 2.0 ** -alpha <= 2.0 ** -54 and R <= _MAX_RANKS:
         return 1.0
-    return math.fsum(map(pow, range(R, 0, -1), repeat(-alpha)))
+    return _zeta_sum(alpha, R, 1)
+
+
+def _zeta_sum(alpha: float, R: int, first: int) -> float:
+    """fsum of r**-alpha for r = R down to first, for harmonic and _zeta_log_z. R may not
+    exceed _MAX_RANKS, so no sum costs more than 10**6 terms; their short-cuts, which
+    skip this call, test R <= _MAX_RANKS themselves, so a larger R always raises here."""
+    if R > _MAX_RANKS:
+        raise ValueError(f"the zeta normalizer sums at most {_MAX_RANKS} ranks, got R={R}")
+    return math.fsum(map(pow, range(R, first - 1, -1), repeat(-alpha)))
 
 
 def geom_norm(q: float, R: int) -> float:
@@ -212,8 +222,8 @@ def geom_norm(q: float, R: int) -> float:
     """
     if not 0.0 < q < 1.0:
         raise ValueError(_GEOMETRIC.domain)
-    if R < 1:
-        raise ValueError("R must be >= 1")
+    if not (type(R) is int and R >= 1):
+        raise ValueError(f"R must be >= 1 and an int, got {R!r}")
     if R == 1:
         return 1.0
     return q / -math.expm1(R * math.log1p(-q))
@@ -224,9 +234,10 @@ class _Family(NamedTuple):
     (geometric): its name, its scalar's name, theta(scalar) and its inverse scalar(theta),
     domain test (stated by domain) and search interval, the normalizer norm(scalar, R), the
     pmf p(scalar, norm, r) at an int rank or a numpy float array of ranks, the data's mean
-    of t, mean(stats), and the pmf's mean and variance of t on 1..R, moments(theta, R), the
-    closed-form log-likelihood objective(stats, R)(scalar) on 1..R for r_max <= R, and
-    end(stats, R), the interval end that maximizes it by the score's sign, or None."""
+    of t, mean(stats), and their sum of t(r) - t(1), total(stats), the pmf's mean and
+    variance of t on 1..R, moments(theta, R), log_z(theta, R), the log of
+    sum_r exp(-theta (t(r) - t(1))) on 1..R, which _log_likelihood reads, and end(stats, R),
+    the interval end that maximizes the log-likelihood by the score's sign, or None."""
 
     name: str
     scalar_name: str
@@ -238,21 +249,17 @@ class _Family(NamedTuple):
     norm: Callable[[float, int], float]
     p: Callable
     mean: Callable[[SummaryStats], float]
+    total: Callable[[SummaryStats], float]
     moments: Callable[[float, int], tuple[float, float]]
-    objective: Callable[[SummaryStats, int], Callable[[float], float]]
+    log_z: Callable[[float, int], float]
     end: Callable[[SummaryStats, int], float | None]
 
 
-def _zeta_objective(s: SummaryStats, R: int) -> Callable[[float], float]:
-    """alpha -> -alpha * FlogR - F0 * log H(alpha, R), from 0.0 so an all-zero sum is +0.0"""
-    F0, FlogR = s.F0, s.FlogR
-    return lambda alpha: 0.0 - alpha * FlogR - F0 * math.log(harmonic(alpha, R))
-
-
-def _geometric_objective(s: SummaryStats, R: int) -> Callable[[float], float]:
-    """q -> F0 * log c(q, R) + (F1 - F0) * log(1 - q)"""
-    F0, tail = s.F0, s.F1 - s.F0
-    return lambda q: F0 * math.log(geom_norm(q, R)) + tail * math.log1p(-q)
+def _log_likelihood(family: _Family, s: SummaryStats, R: int) -> Callable[[float], float]:
+    """theta -> the log-likelihood of s on 1..R, for r_max <= R, in nats: every data point
+    pays theta (t(r) - t(1)) and log_z, from 0.0 so an all-zero sum is +0.0."""
+    F0, total, log_z = s.F0, family.total(s), family.log_z
+    return lambda theta: 0.0 - theta * total - F0 * log_z(theta, R)
 
 
 def _end(interval: tuple[float, float], t_lo: float, t_hi: float, tbar: float) -> float | None:
@@ -282,6 +289,20 @@ def _geometric_moments(beta: float, R: int) -> tuple[float, float]:
     return E, v - R * R * v_R
 
 
+def _zeta_log_z(alpha: float, R: int) -> float:
+    """log H(alpha, R) as log1p of the sum past rank 1, which log(harmonic) rounds away though
+    F0 times it need not be small: 0.0 once 2.0 ** -alpha underflows; R <= _MAX_RANKS."""
+    if 2.0 ** -alpha == 0.0 and R <= _MAX_RANKS:
+        return 0.0
+    return math.log1p(_zeta_sum(alpha, R, 2))
+
+
+def _log1mexp(x: float) -> float:
+    """log(1 - exp(-x)) for x > 0 to a few ulps: through expm1 up to log 2, where log1p would
+    cancel, and log1p past it, where log of a number near 1 loses its low bits (Maechler 2012)."""
+    return math.log(-math.expm1(-x)) if x <= _LOG_2 else math.log1p(-math.exp(-x))
+
+
 # norm reaches harmonic and geom_norm through the module globals at call
 # time, so a replaced module attribute is the one every caller uses
 _ZETA = _Family(
@@ -289,7 +310,8 @@ _ZETA = _Family(
     in_domain=lambda alpha: 0.0 <= alpha < math.inf, domain="alpha must be a finite real >= 0",
     interval=ALPHA_INTERVAL, norm=lambda alpha, R: harmonic(alpha, R),
     p=lambda alpha, H, r: r ** -alpha / H,
-    mean=lambda s: s.FlogR / s.F0, moments=_zeta_moments, objective=_zeta_objective,
+    mean=lambda s: s.FlogR / s.F0, total=lambda s: s.FlogR, moments=_zeta_moments,
+    log_z=_zeta_log_z,
     # E[log r] is log(R!)/R at alpha = 0 and 0.0 at alpha = 1e6, so 1e6 iff r_max = 1
     end=lambda s, R: _end(ALPHA_INTERVAL, math.lgamma(R + 1) / R, 0.0, _ZETA.mean(s)),
 )
@@ -299,7 +321,9 @@ _GEOMETRIC = _Family(
     in_domain=lambda q: 0.0 < q < 1.0, domain="q must lie in the open interval (0, 1)",
     interval=Q_INTERVAL, norm=lambda q, R: geom_norm(q, R),
     p=lambda q, c, r: c * (1.0 - q) ** (r - 1),
-    mean=lambda s: s.mean_rank, moments=_geometric_moments, objective=_geometric_objective,
+    mean=lambda s: s.mean_rank, total=lambda s: s.F1 - s.F0, moments=_geometric_moments,
+    # the sum of exp(-beta (r - 1)) on 1..R is (1 - exp(-beta R)) / (1 - exp(-beta))
+    log_z=lambda beta, R: _log1mexp(beta * R) - _log1mexp(beta),
     end=lambda s, R: _end(Q_INTERVAL, *(_geometric_moments(_GEOMETRIC.theta(q), R)[0]
                                         for q in Q_INTERVAL), _GEOMETRIC.mean(s)),
 )
@@ -317,11 +341,11 @@ def log_likelihood(m: ModelParams, s: SummaryStats) -> float:
 
     Returns -inf when the data attest a rank beyond the model support
     (r_max > R), since some observation then has zero probability, and
-    the family's closed form otherwise.
+    the family's one formula in theta and log Z otherwise.
     """
     if s.r_max > m.R:
         return -math.inf
-    return m.kind.family.objective(s, m.R)(m.scalar)
+    return _log_likelihood(m.kind.family, s, m.R)(m.kind.family.theta(m.scalar))
 
 
 def expected_frequency(m: ModelParams, F0: float, r: int) -> float:

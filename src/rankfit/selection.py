@@ -47,6 +47,9 @@ DEFAULT_ENSEMBLE = tuple(ModelKind)  # all four kinds, in ModelKind's order
 SELECTION_COLUMNS = ("model", "loglik", "AICc", "delta_AICc", "w_AICc",
                      "BIC", "delta_BIC", "w_BIC")
 
+# relative gap below which two fits at R = 2 share one log-likelihood in select
+_SAME_LOGLIK = 1e-12
+
 
 def _check_domain(K: int, F0: float, with_aicc: bool = True) -> None:
     """ValueError unless K >= 1, AICc (F0 > K + 1, if with_aicc) and BIC (F0 > 1) hold."""
@@ -196,10 +199,9 @@ def select(hist: RankHistogram | SummaryStats, N: int = DEFAULT_DOMAIN_CEILING,
         try:
             _check_domain(kind.n_params, s.F0)
             key = (kind.family, s.r_max if kind.n_params == 2 else N)  # with the stats, all that fit reads
-            fr = fits[key] = fit(kind, s, N) if key not in fits else replace(
+            fits[key] = fit(kind, s, N) if key not in fits else replace(
                 fits[key], params=replace(fits[key].params, kind=kind))
-            rows.append(SelectionRow(kind=kind, fit=fr, aicc=aicc(fr.loglik, fr.n_params, s.F0),
-                                     bic=bic(fr.loglik, fr.n_params, s.F0)))
+            rows.append(SelectionRow(kind=kind, fit=fits[key]))
         except ValueError as exc:
             rows.append(SelectionRow(kind=kind, error=str(exc)))
 
@@ -207,11 +209,20 @@ def select(hist: RankHistogram | SummaryStats, N: int = DEFAULT_DOMAIN_CEILING,
     if not scored:
         reasons = "; ".join(dict.fromkeys(r.error for r in rows))  # distinct, in ensemble order
         raise ValueError(f"no ensemble member could be fitted and scored: {reasons}")
-    min_a, w_a = min(r.aicc for r in scored), iter(weights([r.aicc for r in scored]))
-    min_b, w_b = min(r.bic for r in scored), iter(weights([r.bic for r in scored]))
-    rows = [replace(r, delta_aicc=r.aicc - min_a, w_aicc=next(w_a),
-                    delta_bic=r.bic - min_b, w_bic=next(w_b))
-            if r.error is None else r for r in rows]
+    # every pmf on ranks 1..2 lies in both families, so fits at R = 2 that agree to rounding
+    # are one model: they share the largest log-likelihood and tie exactly under both
+    # criteria. An interval-end fit short of that maximum keeps its own.
+    two = max((r.loglik for r in scored if r.fit.params.R == 2), default=None)
+    scored = [replace(r, fit=replace(r.fit, loglik=two))
+              if r.fit.params.R == 2 and math.isclose(r.loglik, two, rel_tol=_SAME_LOGLIK) else r
+              for r in scored]
+    a = [aicc(r.loglik, r.fit.n_params, s.F0) for r in scored]
+    b = [bic(r.loglik, r.fit.n_params, s.F0) for r in scored]
+    min_a, min_b = min(a), min(b)
+    done = iter(replace(r, aicc=ra, delta_aicc=ra - min_a, w_aicc=wa,
+                        bic=rb, delta_bic=rb - min_b, w_bic=wb)
+                for r, ra, wa, rb, wb in zip(scored, a, weights(a), b, weights(b)))
+    rows = [next(done) if r.error is None else r for r in rows]
 
     return SelectionTable(rows=tuple(rows), F0=s.F0)
 

@@ -2,8 +2,8 @@
 
 These deliberately avoid the package's optimizer and estimator code paths:
 likelihoods are re-expressed directly from the closed forms and maximized
-by dense grid search, or the score's root is found in 40-digit decimal
-arithmetic; the undersampling probability comes from exact
+by dense grid search, or the score's root and the log-likelihood are found in
+40-digit decimal arithmetic; the undersampling probability comes from exact
 inclusion-exclusion. Only package *data* types are imported.
 """
 
@@ -134,6 +134,24 @@ def exact_mle(freqs, R: int, family: str) -> float:
                 return float(theta if family == "zeta" else 1 - (-theta).exp())
             theta = theta + step if lo < theta + step < hi else (lo + hi) / 2
     raise ArithmeticError(f"exact_mle did not converge on {freqs!r}, R={R}")
+
+
+def exact_loglik(freqs, R: int, family: str, scalar: float) -> float:
+    """sum_r f_r log p(r) for frequencies freqs at ranks 1, 2, ... under the "zeta" (alpha =
+    scalar) or "geometric" (q = scalar) pmf on ranks 1..R, term by term in decimal arithmetic
+    at 40 digits, rounded to a double. p(r) = w(r) / Z with w(1) = 1: w(r) = r**-alpha or
+    (1 - q)**(r - 1); log Z is taken at the digits 1 + Z's tail needs to keep 40 of its own."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        D = decimal.Decimal
+        x = D(scalar)  # exactly the double given
+        log_w = [-x * D(r).ln() if family == "zeta" else (r - 1) * (1 - x).ln()
+                 for r in range(1, R + 1)]
+        tail = sum(w.exp() for w in log_w[1:])
+        ctx.prec = 40 + max(0, -tail.adjusted())
+        log_z = (1 + tail).ln()
+        ctx.prec = 40
+        return float(sum(D(f) * (w - log_z) for f, w in zip(freqs, log_w)))
 
 
 # ------------------------------------------------- exact attestation oracle

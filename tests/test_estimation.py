@@ -24,8 +24,8 @@ from rankfit import (
     zeta2,
     geometric2,
 )
-from _oracles import (ZetaGridOracle, exact_mle, grid_mle_q, random_histogram, score_sign,
-                      stats_of)
+from _oracles import (ZetaGridOracle, exact_loglik, exact_mle, grid_mle_q, random_histogram,
+                      score_sign, stats_of)
 
 
 @pytest.mark.parametrize("field", ["F0", "F1", "FlogR"])
@@ -103,8 +103,11 @@ def test_fits_are_bit_identical_to_the_plain_harmonic_sum(N, monkeypatch):
     hists.append(RankHistogram.from_frequencies([5.5, 2.25, 0.75]))
     kinds = list(ModelKind)
     fast = [fit(kind, h, N).as_dict() for h in hists for kind in kinds]
-    monkeypatch.setattr("rankfit.models.harmonic",
-                        lambda alpha, R: math.fsum(r ** -alpha for r in range(R, 0, -1)))
+    # the zeta log Z with no short-cut: log1p of every term past rank 1
+    plain = ModelKind.ZETA1.family._replace(
+        log_z=lambda alpha, R: math.log1p(math.fsum(r ** -alpha for r in range(R, 1, -1))))
+    for kind in (ModelKind.ZETA1, ModelKind.ZETA2):
+        monkeypatch.setattr(kind, "family", plain)
     assert [fit(kind, h, N).as_dict() for h in hists for kind in kinds] == fast
 
 
@@ -241,19 +244,6 @@ def test_one_rank_fits_and_their_cross_apply_report_plus_zero():
         assert repr(loglik) == "0.0"
 
 
-# On ranks {1, 2} every pmf is both a truncated zeta and a truncated geometric, so the two
-# maximized log-likelihoods are equal in exact arithmetic; each kind still evaluates its own
-# by its own objective, 1-2 ulps apart even at the exact scalars, and that ulp decides AICc
-# and BIC between them. These cases still differ with exact fits.
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 16: the R = 2 tie of zeta2 and geometric2 "
-                                       "is broken by rounding; item 16 removes this marker")
-@pytest.mark.parametrize("freqs", [[5, 5], [7, 2], [1848, 296], [820, 607]],
-                         ids=["5-5", "7-2", "golden-52", "golden-78"])
-def test_zeta2_and_geometric2_fit_the_same_log_likelihood_at_two_ranks(freqs):
-    hist = RankHistogram.from_frequencies([float(f) for f in freqs])
-    assert fit("zeta2", hist).loglik == fit("geometric2", hist).loglik
-
-
 @pytest.mark.parametrize("kind", list(ModelKind))
 def test_fit_at_N_1_is_the_degenerate_result(kind):
     lo, hi = ALPHA_INTERVAL if kind.is_zeta else Q_INTERVAL
@@ -313,6 +303,37 @@ def test_interior_fits_are_the_exact_mle(i):
         assert abs(result.params.scalar - exact) <= 1e-13 * exact
         at_exact = log_likelihood(ModelParams(kind, R=R, N=N, **{name: exact}), s)
         assert result.loglik >= at_exact - 4 * math.ulp(at_exact)
+
+
+@pytest.mark.parametrize("i", range(100))
+def test_log_likelihood_is_the_exact_sum_at_each_fit(i):
+    hist, N = exact_mle_case(i)
+    s = summarize(hist)
+    for kind in ModelKind:
+        params = fit(kind, s, N).params
+        exact = exact_loglik(hist.frequencies, params.R, kind.family.name, params.scalar)
+        assert abs(log_likelihood(params, s) - exact) <= 1e-14 * abs(exact)
+
+
+def test_zeta_log_likelihood_keeps_the_tail_past_rank_1():
+    # alpha = 332.19 puts 2**-alpha = 1e-100 past rank 1, which log H rounds away against
+    # the 1; times F0 = 1e100 that tail is one nat
+    hist = RankHistogram.from_frequencies([1e100, 1.0])
+    result = fit("zeta2", hist)
+    assert repr(result.loglik).startswith("-231.2585092994045")
+    exact = exact_loglik(hist.frequencies, 2, "zeta", result.params.alpha)
+    assert abs(result.loglik - exact) <= 1e-14 * abs(exact)
+
+
+@pytest.mark.parametrize("freqs", [[1e11, 700.0], [123456789.0, 3.0], [772304.0, 82.0]])
+def test_geometric_log_likelihood_keeps_its_low_bits_near_q_1(freqs):
+    # at q near 1, 1 - exp(-beta) lies just below 1.0 and log of it keeps only its high
+    # bits: times F0 = 1e11 that cost 3.5e-10 relative on [1e11, 700]
+    hist = RankHistogram.from_frequencies(freqs)
+    result = fit("geometric2", hist)
+    assert result.warnings == () and result.params.q > 0.99
+    exact = exact_loglik(hist.frequencies, len(freqs), "geometric", result.params.q)
+    assert abs(result.loglik - exact) <= 1e-14 * abs(exact)
 
 
 # ------------------------------------------------------------------ theorems

@@ -97,6 +97,7 @@ def test_histogram_invariants_enforced():
     (10.0, 15.0, -1.0, 2, "FlogR must be >= 0"),
     (10.0, 10.0, 0.5, 1, "zero iff r_max == 1"),
     (1e10, 1e10 + 5, 0.0, 1, "r_max == 1, where F1 must equal F0"),  # one rank: F1 == F0
+    (10.0, 12.0, 0.5, 2.5, "r_max must be an int, got 2.5"),  # fit would raise a TypeError
 ])
 def test_summary_stats_reject_moments_no_histogram_has(F0, F1, FlogR, r_max, named):
     with pytest.raises(ValueError, match=named):

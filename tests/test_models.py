@@ -245,9 +245,14 @@ def test_model_params_validation():
         ModelParams(kind=ModelKind.ZETA2, R=5, N=24, alpha=1.0, q=0.5)
     with pytest.raises(ValueError, match="geometric kinds take q, not alpha"):
         ModelParams(kind=ModelKind.GEOMETRIC2, R=5, N=24, alpha=1.0, q=0.5)
-    for N in (0, 24.0):
+    for N in (0, 24.0, True):
         with pytest.raises(ValueError, match="N must be a positive integer"):
             ModelParams(kind=ModelKind.ZETA2, R=1, N=N, alpha=1.0)
+    # as_dict would write a bool R or N as JSON true, which from_dict cannot read back
+    with pytest.raises(ValueError, match="N must be a positive integer"):
+        ModelParams(kind="zeta1", R=True, N=True, alpha=1.0)
+    with pytest.raises(ValueError, match=r"R must satisfy 1 <= R <= N, got R=True, N=24"):
+        ModelParams(kind="zeta2", R=True, N=24, alpha=1.0)
 
 
 @pytest.mark.parametrize("call, named", [
@@ -258,13 +263,15 @@ def test_model_params_validation():
     (lambda: geom_norm(0.0, 24), "q must lie in"),
     (lambda: geom_norm(1.0, 24), "q must lie in"),
     (lambda: geom_norm(0.5, 0), "R must be >= 1"),
+    (lambda: harmonic(1.0, 2.5), "R must be >= 1 and an int, got 2.5"),
+    (lambda: geom_norm(0.5, 2.5), "R must be >= 1 and an int, got 2.5"),
     (lambda: to_exponential_form(1.0, 0.5), "q must lie in"),
     (lambda: to_exponential_form(0.5, 0.0), "c must be positive"),
     (lambda: ExponentialForm(c_prime=0.0, beta=1.0), "c_prime and beta must be positive"),
     (lambda: ExponentialForm(c_prime=1.0, beta=-1.0), "c_prime and beta must be positive"),
 ], ids=["harmonic-R0", "harmonic-negative", "harmonic-nan", "harmonic-inf", "geom_norm-q0",
-        "geom_norm-q1", "geom_norm-R0", "exp-form-q1", "exp-form-c0", "exp-form-c_prime0",
-        "exp-form-beta-negative"])
+        "geom_norm-q1", "geom_norm-R0", "harmonic-R-not-whole", "geom_norm-R-not-whole",
+        "exp-form-q1", "exp-form-c0", "exp-form-c_prime0", "exp-form-beta-negative"])
 def test_normalizers_and_exponential_form_reject_bad_arguments(call, named):
     with pytest.raises(ValueError, match=named):
         call()

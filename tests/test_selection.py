@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import rankfit.selection
 
@@ -18,6 +20,7 @@ from rankfit import (
     evidence_ratio,
     fit,
     geometric1,
+    log_likelihood,
     sample,
     select,
     summarize,
@@ -242,20 +245,70 @@ def test_select_tie_breaks_toward_fewer_parameters():
     assert table.best_by_bic.n_params == 1
 
 
+# On ranks {1, 2} every pmf is both a truncated zeta and a truncated geometric, so the fits at
+# R = 2 are one model wherever both scalars reach the data's pmf. fit cannot tie them: each
+# kind's log-likelihood is read at its own scalar, 1-2 ulps apart on [5, 5] and golden
+# histogram 52. select scores fits that agree to 1e-12 relative from one, the larger; past
+# p1/p2 = 1e9 geometric2 stops at q = 1 - 1e-9 and keeps its own, lower log-likelihood
+# (each pair sums to F0 >= 4, so the 2-parameter rows are scorable).
+@given(st.lists(st.one_of(st.integers(2, 2000).map(float), st.floats(2.0, 1e12)),
+                min_size=2, max_size=2))
+@example([5.0, 5.0])
+@example([7.0, 2.0])
+@example([1848.0, 296.0])  # golden histograms 52 and 78
+@example([820.0, 607.0])
+@example([1e12, 2.0])
+@example([1e100, 1.0])
+@settings(max_examples=200, deadline=None)
+def test_zeta2_and_geometric2_score_one_log_likelihood_at_two_ranks(freqs):
+    hist = RankHistogram.from_frequencies(sorted(freqs, reverse=True))
+    s = summarize(hist)
+    own = {kind: log_likelihood(fit(kind, s).params, s) for kind in ("zeta2", "geometric2")}
+    top = max(own.values())
+    for ensemble in (None, ("zeta2", "geometric2")):
+        table = select(hist, ensemble=ensemble)
+        for kind, loglik in own.items():
+            shared = abs(loglik - top) <= 1e-12 * abs(loglik)
+            assert repr(table.row(kind).loglik) == repr(top if shared else loglik)
+    assert table.best_by_aicc == table.best_by_bic
+    if table.row("zeta2").loglik == table.row("geometric2").loglik:
+        assert table.best_by_aicc == ModelKind.GEOMETRIC2  # the name rule
+
+
+@pytest.mark.parametrize("freqs", [[1e12, 2.0], [1e100, 1.0]])
+def test_zeta2_wins_at_two_ranks_past_the_geometric_interval_end(freqs):
+    # p1/p2 > 1e9 lies past q = 1 - 1e-9: geometric2 is an end fit far below zeta2's maximum,
+    # so it keeps its own log-likelihood and zeta2 is best under both criteria
+    hist = RankHistogram.from_frequencies(freqs)
+    table = select(hist, ensemble=("zeta2", "geometric2"))
+    geometric2 = table.row("geometric2")
+    assert geometric2.fit.warnings[0].startswith("boundary: optimum at the end q=0.999999999")
+    assert geometric2.loglik == log_likelihood(geometric2.fit.params, summarize(hist))
+    assert geometric2.loglik < table.row("zeta2").loglik - 900
+    assert table.best_by_aicc == table.best_by_bic == ModelKind.ZETA2
+
+
 # --------------------------------------------------------------- cross_apply
 
 def _reference_select(s, N, kinds):
-    """select as one fit per kind scored with aicc and bic, as (table, (best by AICc,
-    best by BIC)); None where select raises."""
+    """select as one fit per kind scored with aicc and bic, the scored fits at R = 2 whose
+    log-likelihoods lie within 1e-12 relative of the largest (one model) by that largest, as
+    (table, (best by AICc, best by BIC)); None where select raises."""
     rows = []
     for kind in kinds:
         try:
             fr = fit(kind, s, N)
-            rows.append(SelectionRow(kind=kind, fit=fr,
-                                     aicc=aicc(fr.loglik, fr.n_params, s.F0),
-                                     bic=bic(fr.loglik, fr.n_params, s.F0)))
+            aicc(fr.loglik, fr.n_params, s.F0)  # raises where the row cannot be scored
+            rows.append(SelectionRow(kind=kind, fit=fr))
         except ValueError as exc:
             rows.append(SelectionRow(kind=kind, error=str(exc)))
+    two = max((r.loglik for r in rows if r.fit and r.fit.params.R == 2), default=None)
+    rows = [replace(r, fit=replace(r.fit, loglik=two))
+            if r.fit and r.fit.params.R == 2 and abs(r.loglik - two) <= 1e-12 * abs(r.loglik)
+            else r for r in rows]
+    rows = [r if r.fit is None else replace(r, aicc=aicc(r.loglik, r.fit.n_params, s.F0),
+                                            bic=bic(r.loglik, r.fit.n_params, s.F0))
+            for r in rows]
     scored = [r for r in rows if r.error is None]
     if not scored:
         return None
